@@ -412,7 +412,7 @@ impl FirestoreClient {
                     if let Some(o) = &obs {
                         o.metrics.incr("client.flushes", &[], 1);
                     }
-                    if let Some(h) = self.db.history() {
+                    if let Some(h) = &self.db.spanner().hooks().history {
                         h.record(simkit::history::HistoryEvent::ClientAck {
                             dir: self.db.directory().prefix(),
                             dedup_id: dedup_id.clone(),
@@ -798,7 +798,7 @@ mod tests {
     use super::*;
     use firestore_core::database::doc as docname;
     use realtime::RealtimeOptions;
-    use simkit::{Duration, SimClock};
+    use simkit::{Duration, Hooks, SimClock};
     use spanner::SpannerDatabase;
 
     const OPEN_RULES: &str = r#"
@@ -812,12 +812,16 @@ mod tests {
     "#;
 
     fn setup() -> (FirestoreDatabase, RealtimeCache) {
+        setup_with(|_| Hooks::default())
+    }
+
+    fn setup_with(make: impl FnOnce(&SimClock) -> Hooks) -> (FirestoreDatabase, RealtimeCache) {
         let clock = SimClock::new();
         clock.advance(Duration::from_secs(1));
-        let spanner = SpannerDatabase::new(clock);
+        let spanner = SpannerDatabase::with_hooks(clock.clone(), make(&clock));
         let db = FirestoreDatabase::create_default(spanner.clone());
         db.set_rules(OPEN_RULES).unwrap();
-        let cache = RealtimeCache::new(spanner.truetime().clone(), RealtimeOptions::default());
+        let cache = RealtimeCache::new(&spanner, RealtimeOptions::default());
         db.set_observer(cache.observer_for(db.directory()));
         (db, cache)
     }
@@ -1183,17 +1187,18 @@ mod tests {
     fn retry_budget_prevents_storms() {
         use simkit::fault::{FaultInjector, FaultKind, FaultPlan, FaultRule};
 
-        let (db, rtc) = setup();
-        let c = client(&db, &rtc);
-        let clock = db.spanner().truetime().clock().clone();
         // Every commit fails: the budget must drain and leave the write
         // queued rather than retrying forever.
         let plan = FaultPlan::new(11).rule(FaultRule::probabilistic(
             FaultKind::TabletUnavailable,
             1.0,
         ));
-        let injector = FaultInjector::new(clock, plan);
-        db.spanner().set_fault_injector(Some(injector.clone()));
+        let (db, rtc) = setup_with(|clock| Hooks {
+            faults: Some(FaultInjector::new(clock.clone(), plan)),
+            ..Hooks::default()
+        });
+        let injector = db.spanner().hooks().faults.clone().unwrap();
+        let c = client(&db, &rtc);
         c.set("/todos/1", [("t", Value::from("x"))]).unwrap();
         assert_eq!(c.pending_writes(), 1, "write stays queued");
         assert!(c.take_write_errors().is_empty(), "transient, not rejected");
@@ -1203,7 +1208,7 @@ mod tests {
             "budget bounds the attempt count, got {attempts}"
         );
         // The outage ends: the next sync flushes the queue.
-        db.spanner().set_fault_injector(None);
+        injector.disarm();
         c.sync().unwrap();
         assert_eq!(c.pending_writes(), 0);
     }
@@ -1212,11 +1217,13 @@ mod tests {
     fn flush_retry_across_ambiguous_crash_does_not_double_apply() {
         use simkit::{CrashPoints, SimDisk};
 
-        let (db, rtc) = setup();
+        let cp = CrashPoints::new();
+        let (db, rtc) = setup_with(|_| Hooks {
+            crash_points: Some(cp.clone()),
+            ..Hooks::default()
+        });
         let sp = db.spanner().clone();
         sp.attach_durability(SimDisk::new());
-        let cp = CrashPoints::new();
-        sp.set_crash_points(Some(cp.clone()));
         // Crash inside the ambiguous window: the commit (document + dedup
         // ledger row) is durably logged but never acknowledged.
         cp.arm("commit-after-outcome", 0);

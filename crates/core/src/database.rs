@@ -25,10 +25,9 @@ use simkit::{Duration, Obs, Timestamp};
 use spanner::database::DirectoryId;
 use spanner::messaging::MessageQueue;
 use spanner::{ReadWriteTransaction, SpannerDatabase};
-use simkit::history::{HistoryEvent, HistoryRecorder};
+use simkit::history::HistoryEvent;
 use std::cell::RefCell;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 /// Table holding idempotence-ledger rows: one row per client-supplied dedup
@@ -119,10 +118,6 @@ struct Inner {
     /// Control-plane hook: when installed, every entry point consults it
     /// before doing engine work. `None` (the default) means ungated.
     gate: RwLock<Option<Arc<dyn TenantGate>>>,
-    /// Oracle mutation toggle: skip the dedup-ledger read in
-    /// [`FirestoreDatabase::commit_writes_dedup`], re-applying retried
-    /// mutations — a deliberate exactly-once bug the oracle must catch.
-    oracle_ignore_dedup: AtomicBool,
 }
 
 /// A Firestore database handle. Cheap to clone; clones share state.
@@ -151,7 +146,6 @@ impl FirestoreDatabase {
                 queue,
                 options,
                 gate: RwLock::new(None),
-                oracle_ignore_dedup: AtomicBool::new(false),
             }),
         }
     }
@@ -181,20 +175,6 @@ impl FirestoreDatabase {
     /// stack, so spans from every layer share one trace).
     pub fn obs(&self) -> Option<Obs> {
         self.inner.spanner.obs()
-    }
-
-    /// The consistency-oracle history recorder attached to the underlying
-    /// Spanner database, if any (one recorder serves the whole stack).
-    pub fn history(&self) -> Option<Arc<HistoryRecorder>> {
-        self.inner.spanner.history()
-    }
-
-    /// Oracle mutation toggle (test-only): when enabled,
-    /// [`FirestoreDatabase::commit_writes_dedup`] skips the ledger lookup
-    /// and re-applies retried mutations — a seeded exactly-once bug the
-    /// consistency oracle must detect.
-    pub fn oracle_ignore_dedup_ledger(&self, ignore: bool) {
-        self.inner.oracle_ignore_dedup.store(ignore, Ordering::SeqCst);
     }
 
     /// Record the executor's work counters into the metrics registry and
@@ -324,7 +304,7 @@ impl FirestoreDatabase {
         if caller.is_third_party() {
             self.authorize_read(name, doc.as_ref(), Method::Get, caller, ts)?;
         }
-        if let Some(h) = self.history() {
+        if let Some(h) = &self.inner.spanner.hooks().history {
             h.record(HistoryEvent::DocRead {
                 dir: self.inner.dir.prefix(),
                 ts,
@@ -422,7 +402,7 @@ impl FirestoreDatabase {
         // Consistency oracle: record each served document (projections strip
         // fields, so their rows cannot be digest-checked against the model).
         if query.projection.is_none() {
-            if let Some(h) = self.history() {
+            if let Some(h) = &self.inner.spanner.hooks().history {
                 for doc in &result.documents {
                     h.record(HistoryEvent::DocRead {
                         dir: self.inner.dir.prefix(),
@@ -612,7 +592,7 @@ impl FirestoreDatabase {
         let spanner = &self.inner.spanner;
         let key = self.inner.dir.key(dedup_id.as_bytes());
         let mut txn = spanner.begin();
-        let ledger_row = if self.inner.oracle_ignore_dedup.load(Ordering::SeqCst) {
+        let ledger_row = if spanner.hooks().mutation == Some(simkit::Mutation::IgnoreDedupLedger) {
             Ok(None) // seeded bug: pretend the mutation was never applied
         } else {
             spanner.txn_read_for_update_versioned(&mut txn, WRITE_LEDGER, &key)

@@ -26,13 +26,14 @@ use firestore_core::observer::{
     CommitObserver, CommitOutcome, DocumentChange, PrepareToken, PrepareUnavailable,
 };
 use firestore_core::checker::doc_digest;
-use firestore_core::matchtree::{MatchStats, MatcherMutation, MatcherTree};
+use firestore_core::matchtree::{MatchStats, MatcherTree};
 use firestore_core::{Document, Query};
 use parking_lot::Mutex;
-use simkit::fault::{FaultInjector, FaultKind};
-use simkit::history::{HistoryEvent, HistoryRecorder};
-use simkit::{prof, Duration, Obs, Timestamp, TrueTime};
+use simkit::fault::FaultKind;
+use simkit::history::HistoryEvent;
+use simkit::{prof, Duration, Hooks, Mutation, Obs, Timestamp, TrueTime};
 use spanner::database::DirectoryId;
+use spanner::SpannerDatabase;
 use spanner::Key;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -149,8 +150,8 @@ struct TaskState {
     pending: Vec<Pending>,
     watermark: Timestamp,
     /// Committed changes accepted but not yet routed through the matcher
-    /// (batched changelog application; empty in eager mode). The task's
-    /// watermark cannot pass an unrouted entry.
+    /// (batched changelog application). The task's watermark cannot pass
+    /// an unrouted entry.
     backlog: Vec<(DirectoryId, Timestamp, Arc<DocumentChange>)>,
 }
 
@@ -208,19 +209,11 @@ struct RtState {
     next_query: u64,
     next_token: u64,
     stats: RealtimeStats,
-    injector: Option<Arc<FaultInjector>>,
     obs: Option<Obs>,
-    /// Consistency-oracle recorder; every listener snapshot and reset is
-    /// recorded while one is attached.
-    history: Option<Arc<HistoryRecorder>>,
-    /// Oracle mutation toggle: silently drop the next `n` routed changes
-    /// (a seeded changelog gap the oracle must catch).
-    oracle_drop_changes: u64,
-    /// Oracle mutation toggle: hold one emitted snapshot back and deliver
-    /// it after a newer one (a seeded ordering bug the oracle must catch).
-    oracle_reorder: bool,
-    /// The snapshot held back by `oracle_reorder`, with its recorded
-    /// visible digests.
+    /// Changes dropped so far by a seeded [`Mutation::DropChanges`].
+    oracle_dropped: u64,
+    /// The snapshot held back by a seeded [`Mutation::ReorderDelivery`],
+    /// with its recorded visible digests.
     oracle_stash: Vec<StashedEmission>,
     /// Bounded-cardinality per-connection queue metrics (top-K + other).
     meter: FanoutMeter,
@@ -239,13 +232,15 @@ type StashedEmission = (ConnectionId, ListenEvent, Vec<(String, u64)>, [u8; 4]);
 #[derive(Clone)]
 pub struct RealtimeCache {
     truetime: TrueTime,
+    hooks: Hooks,
     opts: RealtimeOptions,
     state: Arc<Mutex<RtState>>,
 }
 
 impl RealtimeCache {
-    /// Create a cache with the given TrueTime source and options.
-    pub fn new(truetime: TrueTime, opts: RealtimeOptions) -> RealtimeCache {
+    /// Create a cache for `spanner`'s stack, sharing its TrueTime source
+    /// and its [`Hooks`] (faults, oracle recorder, seeded bug).
+    pub fn new(spanner: &SpannerDatabase, opts: RealtimeOptions) -> RealtimeCache {
         let ranges = if opts.tasks <= 1 {
             RangeMap::single()
         } else {
@@ -254,7 +249,8 @@ impl RealtimeCache {
         let tasks: Vec<TaskState> = (0..ranges.tasks()).map(|_| TaskState::default()).collect();
         let matcher = MatcherTree::new(tasks.len());
         RealtimeCache {
-            truetime,
+            truetime: spanner.truetime().clone(),
+            hooks: spanner.hooks().clone(),
             opts,
             state: Arc::new(Mutex::new(RtState {
                 ranges,
@@ -265,24 +261,13 @@ impl RealtimeCache {
                 next_query: 1,
                 next_token: 1,
                 stats: RealtimeStats::default(),
-                injector: None,
                 obs: None,
-                history: None,
-                oracle_drop_changes: 0,
-                oracle_reorder: false,
+                oracle_dropped: 0,
                 oracle_stash: Vec::new(),
                 meter: FanoutMeter::new(),
                 last_flush: Timestamp::ZERO,
             })),
         }
-    }
-
-    /// Attach (or clear) a chaos [`FaultInjector`]. While a
-    /// [`FaultKind::CacheUnavailable`] rule fires, Prepare RPCs fail — the
-    /// write path surfaces this as a retriable `Unavailable` ("a failure to
-    /// process the Prepare request fails the write", §IV-D4).
-    pub fn set_fault_injector(&self, injector: Option<Arc<FaultInjector>>) {
-        self.state.lock().injector = injector;
     }
 
     /// Attach (or clear) an observability handle. Prepare/Accept spans and
@@ -294,33 +279,6 @@ impl RealtimeCache {
     /// The attached observability handle, if any.
     pub fn obs(&self) -> Option<Obs> {
         self.state.lock().obs.clone()
-    }
-
-    /// Attach (or clear) the consistency-oracle history recorder. While one
-    /// is attached every listener snapshot and reset is recorded.
-    pub fn set_history(&self, history: Option<Arc<HistoryRecorder>>) {
-        self.state.lock().history = history;
-    }
-
-    /// Oracle mutation toggle (test-only): silently drop the next `n`
-    /// committed changes at the Changelog → Query Matcher hop. A seeded
-    /// gap-in-changelog bug the consistency oracle must detect.
-    pub fn oracle_drop_next_changes(&self, n: u64) {
-        self.state.lock().oracle_drop_changes = n;
-    }
-
-    /// Oracle mutation toggle (test-only): hold one emitted snapshot back
-    /// and deliver it after a newer one, violating §V ordered delivery. A
-    /// seeded reordering bug the consistency oracle must detect.
-    pub fn oracle_reorder_delivery(&self, enable: bool) {
-        self.state.lock().oracle_reorder = enable;
-    }
-
-    /// Record `event` if a recorder is attached.
-    fn record(st: &RtState, event: HistoryEvent) {
-        if let Some(h) = &st.history {
-            h.record(event);
-        }
     }
 
     /// The `(name, digest)` list the oracle compares against the model:
@@ -352,12 +310,6 @@ impl RealtimeCache {
     /// registration table (test/debug hook).
     pub fn matcher_validate(&self) -> Result<(), String> {
         self.state.lock().matcher.debug_validate()
-    }
-
-    /// Install (or clear) a seeded Query Matcher bug. **Test-only**: the
-    /// differential and chaos suites prove they catch each mutation.
-    pub fn set_matcher_mutation(&self, mutation: Option<MatcherMutation>) {
-        self.state.lock().matcher.set_mutation(mutation);
     }
 
     /// EXPLAIN for the real-time matching path: render the Query Matcher
@@ -450,15 +402,13 @@ impl RealtimeCache {
             }
         }
         for buckets in expired {
-            Self::reset_matching(&mut st, &buckets, "prepare-expired");
+            self.reset_matching(&mut st, &buckets, "prepare-expired");
         }
-        // Flush the batched changelog when its interval elapses (eager mode
-        // keeps the backlog empty, so this is a no-op there).
+        // Flush the batched changelog when its interval elapses.
         let interval = self.opts.fanout.flush_interval;
         let backlogged: usize = st.tasks.iter().map(|t| t.backlog.len()).sum();
         if backlogged > 0
-            && (interval == Duration::ZERO
-                || now.saturating_sub(st.last_flush) >= interval
+            && (now.saturating_sub(st.last_flush) >= interval
                 || backlogged >= self.opts.fanout.changelog_flush_changes)
         {
             self.flush_backlogs(&mut st, now);
@@ -509,8 +459,7 @@ impl RealtimeCache {
         }
         let mut caught_up = 0usize;
         let (mut snapshots, mut notifications, mut resets) = (0u64, 0u64, 0u64);
-        let record = st.history.is_some();
-        let mut recorded: Vec<HistoryEvent> = Vec::new();
+        let record = self.hooks.history.is_some();
         let mut conn_ids: Vec<ConnectionId> = st.conns.keys().copied().collect();
         conn_ids.sort();
         for conn_id in conn_ids {
@@ -533,7 +482,7 @@ impl RealtimeCache {
                             notifications += deltas.len() as u64;
                             snapshots += 1;
                             if record {
-                                recorded.push(HistoryEvent::ListenerSnapshot {
+                                self.hooks.record(HistoryEvent::ListenerSnapshot {
                                     dir: qs.dir.prefix(),
                                     conn: conn_id.0,
                                     query: qid.0,
@@ -561,21 +510,16 @@ impl RealtimeCache {
                         let cost = event_cost(&ev);
                         conn.out.push(ev, cost);
                         resets += 1;
-                        if record {
-                            if let Some(qs) = removed {
-                                recorded.push(HistoryEvent::ListenerReset {
-                                    dir: qs.dir.prefix(),
-                                    conn: conn_id.0,
-                                    query: qid.0,
-                                });
-                            }
+                        if let Some(qs) = removed {
+                            self.hooks.record(HistoryEvent::ListenerReset {
+                                dir: qs.dir.prefix(),
+                                conn: conn_id.0,
+                                query: qid.0,
+                            });
                         }
                     }
                 }
             }
-        }
-        for ev in recorded {
-            Self::record(st, ev);
         }
         // Rebuild the Query Matcher tree once, from the queries that
         // survived the requery loop. A single from-scratch rebuild (rather
@@ -607,11 +551,7 @@ impl RealtimeCache {
             s.attr("names", names.len());
             s.attr("max_ts", max_ts.as_nanos());
         }
-        if st
-            .injector
-            .as_ref()
-            .is_some_and(|inj| inj.should_inject(FaultKind::CacheUnavailable, "rtc-prepare"))
-        {
+        if self.hooks.inject(FaultKind::CacheUnavailable, "rtc-prepare") {
             if let Some(o) = &st.obs {
                 o.metrics.incr("rtc.prepare.unavailable", &[], 1);
             }
@@ -700,8 +640,9 @@ impl RealtimeCache {
                     // Oracle mutation: silently drop the next N changelog
                     // entries — affected listeners never see the write (§V
                     // delivery violated).
-                    if st.oracle_drop_changes > 0 {
-                        st.oracle_drop_changes -= 1;
+                    let dropped = st.oracle_dropped;
+                    if matches!(self.hooks.mutation, Some(Mutation::DropChanges(n)) if dropped < n) {
+                        st.oracle_dropped += 1;
                         continue;
                     }
                     // The change's true key: the writing database's
@@ -730,7 +671,7 @@ impl RealtimeCache {
                 if let Some(o) = &st.obs {
                     o.metrics.incr("rtc.resets", &[("cause", "unknown-outcome")], 1);
                 }
-                Self::reset_matching(&mut st, &pending_buckets, "unknown-outcome");
+                self.reset_matching(&mut st, &pending_buckets, "unknown-outcome");
             }
         }
         self.advance_all(&mut st);
@@ -833,7 +774,7 @@ impl RealtimeCache {
         over_buffer.sort_unstable();
         over_buffer.dedup();
         if !over_buffer.is_empty() {
-            Self::reset_queries(st, over_buffer, ResetCause::Overload, "buffer");
+            self.reset_queries(st, over_buffer, ResetCause::Overload, "buffer");
         }
     }
 
@@ -865,7 +806,7 @@ impl RealtimeCache {
                 qids.extend(conn.queries.keys().map(|q| (conn_id, *q)));
             }
             qids.sort_unstable();
-            Self::reset_queries(st, qids, ResetCause::Overload, reason);
+            self.reset_queries(st, qids, ResetCause::Overload, reason);
         }
     }
 
@@ -875,7 +816,7 @@ impl RealtimeCache {
     /// watching those collections, never to total registrations — and is
     /// exact because matching is bucket-exact: a query outside the bucket
     /// can never have observed the affected documents.
-    fn reset_matching(st: &mut RtState, buckets: &[Vec<u8>], reason: &'static str) {
+    fn reset_matching(&self, st: &mut RtState, buckets: &[Vec<u8>], reason: &'static str) {
         let mut targets: Vec<(ConnectionId, QueryId)> = Vec::new();
         let mut seen: Vec<&Vec<u8>> = Vec::new();
         for b in buckets {
@@ -887,13 +828,14 @@ impl RealtimeCache {
         }
         targets.sort_unstable();
         targets.dedup();
-        Self::reset_queries(st, targets, ResetCause::Fault, reason);
+        self.reset_queries(st, targets, ResetCause::Fault, reason);
     }
 
     /// Shared reset tail for both causes: unregister from the matcher,
     /// drop the query state (and its buffered deltas), notify the client,
     /// record the oracle event, and count by cause.
     fn reset_queries(
+        &self,
         st: &mut RtState,
         targets: Vec<(ConnectionId, QueryId)>,
         cause: ResetCause,
@@ -921,14 +863,11 @@ impl RealtimeCache {
                         1,
                     );
                 }
-                Self::record(
-                    st,
-                    HistoryEvent::ListenerReset {
-                        dir: qs.dir.prefix(),
-                        conn: conn_id.0,
-                        query: qid.0,
-                    },
-                );
+                self.hooks.record(HistoryEvent::ListenerReset {
+                    dir: qs.dir.prefix(),
+                    conn: conn_id.0,
+                    query: qid.0,
+                });
             }
         }
     }
@@ -974,7 +913,7 @@ impl RealtimeCache {
     /// stay coalescing in the delta buffers and `resume` does not move, so
     /// a later pump picks up exactly where this one left off.
     fn pump(&self, st: &mut RtState, conn_id: ConnectionId, task_watermarks: &[Timestamp]) {
-        let record = st.history.is_some();
+        let record = self.hooks.history.is_some();
         let Some(conn) = st.conns.get_mut(&conn_id) else {
             return;
         };
@@ -1044,7 +983,7 @@ impl RealtimeCache {
         }
         // Oracle mutation: hold the first emitted snapshot back and deliver
         // it only after a newer one — §V ordered delivery violated.
-        if st.oracle_reorder {
+        if self.hooks.mutation == Some(Mutation::ReorderDelivery) {
             if st.oracle_stash.is_empty() {
                 if !emitted.is_empty() {
                     let (ev, vis, qdir) = emitted.remove(0);
@@ -1086,17 +1025,14 @@ impl RealtimeCache {
                 st.stats.notifications += changes.len() as u64;
                 st.stats.snapshots += 1;
                 if record {
-                    Self::record(
-                        st,
-                        HistoryEvent::ListenerSnapshot {
-                            dir: *qdir,
-                            conn: conn_id.0,
-                            query: query.0,
-                            at: *at,
-                            initial: *is_initial,
-                            visible: visible.clone(),
-                        },
-                    );
+                    self.hooks.record(HistoryEvent::ListenerSnapshot {
+                        dir: *qdir,
+                        conn: conn_id.0,
+                        query: query.0,
+                        at: *at,
+                        initial: *is_initial,
+                        visible: visible.clone(),
+                    });
                 }
             }
         }
@@ -1154,10 +1090,16 @@ impl Connection {
         st.matcher.register((self.id, qid), &sources, dir, &query);
         let view = QueryView::new(query, initial);
         let initial_events = view.initial_events();
-        let visible = st
-            .history
-            .is_some()
-            .then(|| RealtimeCache::visible_digests(&view));
+        if self.cache.hooks.history.is_some() {
+            self.cache.hooks.record(HistoryEvent::ListenerSnapshot {
+                dir: dir.prefix(),
+                conn: self.id.0,
+                query: qid.0,
+                at: snapshot_ts,
+                initial: true,
+                visible: RealtimeCache::visible_digests(&view),
+            });
+        }
         let Some(conn) = st.conns.get_mut(&self.id) else {
             return qid;
         };
@@ -1183,19 +1125,6 @@ impl Connection {
             },
         );
         st.stats.snapshots += 1;
-        if let Some(visible) = visible {
-            RealtimeCache::record(
-                &st,
-                HistoryEvent::ListenerSnapshot {
-                    dir: dir.prefix(),
-                    conn: self.id.0,
-                    query: qid.0,
-                    at: snapshot_ts,
-                    initial: true,
-                    visible,
-                },
-            );
-        }
         qid
     }
 
@@ -1210,14 +1139,11 @@ impl Connection {
         if let Some(qs) = removed {
             // The oracle treats a voluntary unlisten like a reset: the
             // listener's continuity obligations end here.
-            RealtimeCache::record(
-                &st,
-                HistoryEvent::ListenerReset {
-                    dir: qs.dir.prefix(),
-                    conn: self.id.0,
-                    query: qid.0,
-                },
-            );
+            self.cache.hooks.record(HistoryEvent::ListenerReset {
+                dir: qs.dir.prefix(),
+                conn: self.id.0,
+                query: qid.0,
+            });
         }
     }
 
@@ -1245,14 +1171,11 @@ impl Connection {
             qids.sort();
             for (qid, qdir) in qids {
                 st.matcher.unregister(&(self.id, qid));
-                RealtimeCache::record(
-                    &st,
-                    HistoryEvent::ListenerReset {
-                        dir: qdir,
-                        conn: self.id.0,
-                        query: qid.0,
-                    },
-                );
+                self.cache.hooks.record(HistoryEvent::ListenerReset {
+                    dir: qdir,
+                    conn: self.id.0,
+                    query: qid.0,
+                });
             }
         }
     }
@@ -1292,7 +1215,7 @@ mod tests {
         clock.advance(Duration::from_secs(1));
         let spanner = SpannerDatabase::new(clock);
         let db = FirestoreDatabase::create_default(spanner.clone());
-        let cache = RealtimeCache::new(spanner.truetime().clone(), RealtimeOptions::default());
+        let cache = RealtimeCache::new(&spanner, RealtimeOptions::default());
         db.set_observer(cache.observer_for(db.directory()));
         (db, cache)
     }

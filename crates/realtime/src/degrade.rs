@@ -347,7 +347,7 @@ mod tests {
         clock.advance(Duration::from_secs(1));
         let spanner = SpannerDatabase::new(clock.clone());
         let db = FirestoreDatabase::create_default(spanner.clone());
-        let cache = RealtimeCache::new(spanner.truetime().clone(), RealtimeOptions::default());
+        let cache = RealtimeCache::new(&spanner, RealtimeOptions::default());
         db.set_observer(cache.observer_for(db.directory()));
         (clock, db, cache)
     }
@@ -504,7 +504,7 @@ mod tests {
         let db = FirestoreDatabase::create_default(spanner.clone());
         let mut opts = RealtimeOptions::default();
         opts.fanout.stall_deadline = Duration::from_secs(1);
-        let cache = RealtimeCache::new(spanner.truetime().clone(), opts);
+        let cache = RealtimeCache::new(&spanner, opts);
         db.set_observer(cache.observer_for(db.directory()));
 
         put(&db, "/scores/a", 1);

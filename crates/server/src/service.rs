@@ -23,7 +23,7 @@ use firestore_core::{
 use parking_lot::{Mutex, RwLock};
 use realtime::{Connection, QueryId, RealtimeCache, RealtimeOptions};
 use simkit::latency::{CpuCostModel, Deployment, LatencyModel};
-use simkit::{Duration, Obs, PhaseBreakdown, SimClock, SimRng, Timestamp};
+use simkit::{Duration, Hooks, Obs, PhaseBreakdown, SimClock, SimRng, Timestamp};
 use spanner::SpannerDatabase;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -58,6 +58,9 @@ pub struct ServiceOptions {
     pub ledger_retention: Duration,
     /// How often [`FirestoreService::tick`] runs the write-ledger GC.
     pub gc_interval: Duration,
+    /// Test hooks for the region's stack: Spanner and, through it, the
+    /// Real-time Cache.
+    pub hooks: Hooks,
 }
 
 impl Default for ServiceOptions {
@@ -74,6 +77,7 @@ impl Default for ServiceOptions {
             shed_watermark: 1024,
             ledger_retention: Duration::from_secs(600),
             gc_interval: Duration::from_secs(60),
+            hooks: Hooks::default(),
         }
     }
 }
@@ -125,9 +129,9 @@ pub struct FirestoreService {
 impl FirestoreService {
     /// Bring up a region.
     pub fn new(clock: SimClock, options: ServiceOptions) -> FirestoreService {
-        let spanner = SpannerDatabase::new(clock.clone());
+        let spanner = SpannerDatabase::with_hooks(clock.clone(), options.hooks.clone());
         let rtc = RealtimeCache::new(
-            spanner.truetime().clone(),
+            &spanner,
             RealtimeOptions {
                 tasks: options.realtime_tasks,
                 ..RealtimeOptions::default()

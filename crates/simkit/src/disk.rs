@@ -78,17 +78,18 @@ struct LogState {
 #[derive(Default)]
 struct DiskState {
     logs: HashMap<String, LogState>,
-    injector: Option<Arc<FaultInjector>>,
     crashes: u64,
     torn_tails: u64,
 }
 
 /// A deterministic simulated durable medium: named append-only logs with an
 /// explicit fsync boundary. Cheap to clone; clones share state (the same
-/// "disk" survives the volatile components that write to it).
+/// "disk" survives the volatile components that write to it). Each handle
+/// carries the fault injector it consults ([`SimDisk::with_faults`]).
 #[derive(Clone, Default)]
 pub struct SimDisk {
     state: Arc<Mutex<DiskState>>,
+    faults: Option<Arc<FaultInjector>>,
 }
 
 /// The result of reading a log back: parsed records plus whether a torn
@@ -107,10 +108,11 @@ impl SimDisk {
         SimDisk::default()
     }
 
-    /// Install (or clear) the chaos injector consulted for
-    /// [`FaultKind::FsyncFail`] and [`FaultKind::TornTail`] decisions.
-    pub fn set_fault_injector(&self, injector: Option<Arc<FaultInjector>>) {
-        self.state.lock().unwrap_or_else(|e| e.into_inner()).injector = injector;
+    /// A handle onto the same medium whose fsyncs and crashes consult
+    /// `faults` for [`FaultKind::FsyncFail`] and [`FaultKind::TornTail`]
+    /// decisions (`None`: never fail).
+    pub fn with_faults(self, faults: Option<Arc<FaultInjector>>) -> SimDisk {
+        SimDisk { faults, ..self }
     }
 
     /// Append one framed record to `log`'s unsynced tail. Appends never fail
@@ -126,8 +128,8 @@ impl SimDisk {
     /// unsynced (the caller may retry or abort).
     pub fn fsync(&self, log: &str) -> Result<(), DiskError> {
         let mut st = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        if st
-            .injector
+        if self
+            .faults
             .as_ref()
             .is_some_and(|inj| inj.should_inject(FaultKind::FsyncFail, "disk-fsync"))
         {
@@ -158,14 +160,14 @@ impl SimDisk {
     pub fn crash(&self) {
         let mut st = self.state.lock().unwrap_or_else(|e| e.into_inner());
         st.crashes += 1;
-        let injector = st.injector.clone();
         let mut torn = 0u64;
         for l in st.logs.values_mut() {
             let tail = std::mem::take(&mut l.unsynced);
             if tail.is_empty() {
                 continue;
             }
-            if injector
+            if self
+                .faults
                 .as_ref()
                 .is_some_and(|inj| inj.should_inject(FaultKind::TornTail, "disk-crash"))
             {
@@ -414,8 +416,7 @@ mod tests {
     fn torn_tail_is_detected_and_truncated() {
         let clock = SimClock::new();
         let plan = FaultPlan::new(11).rule(FaultRule::probabilistic(FaultKind::TornTail, 1.0));
-        let disk = SimDisk::new();
-        disk.set_fault_injector(Some(FaultInjector::new(clock, plan)));
+        let disk = SimDisk::new().with_faults(Some(FaultInjector::new(clock, plan)));
         disk.append("wal", b"durable");
         disk.fsync("wal").unwrap();
         disk.append("wal", b"in-flight-record");
@@ -435,8 +436,7 @@ mod tests {
             crate::clock::Timestamp::ZERO,
             crate::clock::Timestamp::from_nanos(1),
         ));
-        let disk = SimDisk::new();
-        disk.set_fault_injector(Some(FaultInjector::new(clock.clone(), plan)));
+        let disk = SimDisk::new().with_faults(Some(FaultInjector::new(clock.clone(), plan)));
         disk.append("wal", b"r");
         assert_eq!(disk.fsync("wal"), Err(DiskError::FsyncFailed));
         // Outside the fault window the retry succeeds and the bytes are kept.
@@ -455,8 +455,7 @@ mod tests {
             crate::clock::Timestamp::ZERO,
             crate::clock::Timestamp::from_nanos(1),
         ));
-        let disk = SimDisk::new();
-        disk.set_fault_injector(Some(FaultInjector::new(clock.clone(), plan)));
+        let disk = SimDisk::new().with_faults(Some(FaultInjector::new(clock.clone(), plan)));
         disk.append("wal", b"dead");
         assert_eq!(disk.fsync("wal"), Err(DiskError::FsyncFailed));
         disk.discard_unsynced("wal");

@@ -22,6 +22,7 @@
 use crate::clock::{Duration, SimClock, Timestamp};
 use crate::rng::SimRng;
 use std::fmt;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// The categories of transient failure the chaos layer can inject.
@@ -186,19 +187,23 @@ struct InjectorState {
 ///
 /// Cheap to share via `Arc`; internally synchronized. With an empty plan it
 /// fires nothing and records nothing beyond counters.
+/// A disarmed injector draws no random number and counts nothing, so a
+/// run replays exactly as if it were not installed while disarmed.
 pub struct FaultInjector {
     clock: SimClock,
     plan: FaultPlan,
+    armed: AtomicBool,
     state: Mutex<InjectorState>,
 }
 
 impl FaultInjector {
-    /// Build an injector over `clock` executing `plan`.
+    /// Build an armed injector over `clock` executing `plan`.
     pub fn new(clock: SimClock, plan: FaultPlan) -> Arc<FaultInjector> {
         let rng = SimRng::new(plan.seed);
         Arc::new(FaultInjector {
             clock,
             plan,
+            armed: AtomicBool::new(true),
             state: Mutex::new(InjectorState {
                 rng,
                 trace: Vec::new(),
@@ -207,12 +212,25 @@ impl FaultInjector {
         })
     }
 
+    /// Start firing faults per the plan (the state after [`FaultInjector::new`]).
+    pub fn arm(&self) {
+        self.armed.store(true, Ordering::SeqCst);
+    }
+
+    /// Stop firing faults until [`FaultInjector::arm`].
+    pub fn disarm(&self) {
+        self.armed.store(false, Ordering::SeqCst);
+    }
+
     /// Consult the injector at an injection site. Returns `true` when a
     /// fault of `kind` fires now; the decision is recorded in the trace.
     ///
     /// The decision stream is deterministic: the same plan and the same
     /// sequence of consultations yield the same answers and the same trace.
     pub fn should_inject(&self, kind: FaultKind, site: &'static str) -> bool {
+        if !self.armed.load(Ordering::SeqCst) {
+            return false;
+        }
         let now = self.clock.now();
         let mut st = self.state.lock().unwrap_or_else(|e| e.into_inner());
         st.stats.checked += 1;
@@ -329,7 +347,9 @@ mod tests {
 
     #[test]
     fn same_seed_same_trace() {
-        let run = |seed: u64| {
+        // Steps 200..300 are skipped (`skip`: as if no injector were
+        // installed there) or consulted while disarmed (`disarm`).
+        let run = |seed: u64, skip: bool, disarm: bool| {
             let clock = SimClock::new();
             let plan = FaultPlan::new(seed)
                 .rule(FaultRule::probabilistic(FaultKind::TabletUnavailable, 0.3))
@@ -342,12 +362,25 @@ mod tests {
                 } else {
                     FaultKind::MessageDrop
                 };
-                inj.should_inject(kind, "site");
+                let quiet = (200..300).contains(&i);
+                if quiet && skip {
+                    continue;
+                }
+                if quiet && disarm {
+                    inj.disarm();
+                }
+                let fired = inj.should_inject(kind, "site");
+                assert!(!(fired && quiet && disarm), "a disarmed injector fired");
+                inj.arm();
             }
-            inj.trace()
+            (inj.trace(), inj.stats())
         };
-        assert_eq!(run(99), run(99));
-        assert_ne!(run(99), run(100), "different seeds should diverge");
+        assert_eq!(run(99, false, false), run(99, false, false));
+        assert_ne!(run(99, false, false).0, run(100, false, false).0, "seeds should diverge");
+        // A disarmed injector draws nothing and counts nothing: the trace
+        // and the draw alignment after re-arming match the uninstalled case.
+        assert_eq!(run(99, false, true), run(99, true, false));
+        assert_ne!(run(99, false, true).0, run(99, false, false).0);
     }
 
     #[test]

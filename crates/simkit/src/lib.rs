@@ -18,6 +18,8 @@
 //!   service times.
 //! * [`fault::FaultInjector`] — seeded, replayable fault injection (the
 //!   chaos layer) consulted by the storage, messaging, and cache layers.
+//! * [`hooks::Hooks`] — the one test seam a stack is built with: faults,
+//!   crash points, the oracle's history recorder, and one seeded bug.
 //! * [`stats`] — percentile / histogram / boxplot summaries used by the
 //!   benchmark harness.
 //! * [`obs`] — deterministic structured tracing, a metrics registry, and
@@ -34,6 +36,7 @@ pub mod des;
 pub mod disk;
 pub mod fault;
 pub mod history;
+pub mod hooks;
 pub mod latency;
 pub mod obs;
 pub mod prof;
@@ -46,6 +49,7 @@ pub use des::Scheduler;
 pub use disk::{CrashPoints, DiskError, LogReplay, SimDisk};
 pub use fault::{FaultEvent, FaultInjector, FaultKind, FaultPlan, FaultRule, FaultStats};
 pub use history::{HistoryEvent, HistoryRecorder, ModelStore, Recorded, Violation};
+pub use hooks::{Hooks, Mutation};
 pub use obs::{Metrics, MetricsSnapshot, Obs, PhaseBreakdown, Span, SpanGuard, SpanId, TopK, Tracer};
 pub use prof::FoldedProfile;
 pub use rng::SimRng;

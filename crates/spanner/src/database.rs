@@ -8,16 +8,16 @@
 use crate::error::{SpannerError, SpannerResult};
 use crate::key::{Key, KeyRange};
 use crate::lock::{LockManager, LockMode};
-use crate::mvcc::MvccStore;
+use crate::mvcc::{MvccStore, SnapshotTooOld};
 use crate::redo::{tablet_log, RecoveryReport, RedoRecord, OUTCOMES_LOG, TABLET_LOG_PREFIX};
 use crate::tablet::{SplitPolicy, TabletMap};
 use crate::txn::{Mutation, ReadWriteTransaction, TxnId};
 use bytes::Bytes;
 use parking_lot::{Mutex, RwLock};
-use simkit::fault::{FaultInjector, FaultKind};
-use simkit::history::{hash_bytes, HistoryEvent, HistoryRecorder};
+use simkit::fault::FaultKind;
+use simkit::history::{hash_bytes, HistoryEvent};
 use simkit::prof;
-use simkit::{CrashPoints, Duration, Obs, SimClock, SimDisk, Timestamp, TrueTime};
+use simkit::{Duration, Hooks, Obs, SimClock, SimDisk, Timestamp, TrueTime};
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -35,6 +35,9 @@ type ParticipantMutations = BTreeMap<(u32, usize), Vec<(Key, Option<Bytes>)>>;
 pub struct SpannerOptions {
     /// Tablet split policy applied to every table.
     pub split_policy: SplitPolicy,
+    /// Faults, crash points, oracle recorder and seeded bug; the same
+    /// injector also reaches the lock manager and the attached disk.
+    pub hooks: Hooks,
 }
 
 struct TableData {
@@ -89,12 +92,18 @@ pub struct CommitInfo {
     pub cpu_charged: Duration,
 }
 
-/// Failure injection hooks for testing the write pipeline's error paths
-/// (paper §IV-D2 enumerates them; §VI stresses testing them).
-#[derive(Debug, Default)]
-struct FailureInjector {
-    /// Fail the next `n` commits with the given error.
-    fail_commits: Mutex<Vec<SpannerError>>,
+/// Removes its commit timestamp from [`Inner::unapplied`] when dropped —
+/// after the apply, or on any early return once a timestamp is assigned.
+struct PendingApply<'a> {
+    inner: &'a Inner,
+    ts: Timestamp,
+}
+
+impl Drop for PendingApply<'_> {
+    fn drop(&mut self) {
+        let mut unapplied = self.inner.unapplied.lock().unwrap_or_else(|e| e.into_inner());
+        unapplied.retain(|&c| c != self.ts);
+    }
 }
 
 struct Inner {
@@ -104,16 +113,14 @@ struct Inner {
     next_txn: AtomicU64,
     next_directory: AtomicU32,
     options: SpannerOptions,
-    failures: FailureInjector,
-    fault_injector: Mutex<Option<Arc<FaultInjector>>>,
+    /// Errors the next commits fail with ([`SpannerDatabase::inject_commit_failure`]).
+    fail_commits: Mutex<Vec<SpannerError>>,
     obs: Mutex<Option<Obs>>,
     commits: AtomicU64,
     aborts: AtomicU64,
     /// The durable medium redo records are appended to; `None` runs the
     /// database fully volatile (the pre-durability behaviour).
     disk: Mutex<Option<SimDisk>>,
-    /// The crash-point registry consulted inside the commit path.
-    crash_points: Mutex<Option<CrashPoints>>,
     /// Set by [`SpannerDatabase::crash`]; every operation fails until
     /// [`SpannerDatabase::recover`] completes.
     crashed: AtomicBool,
@@ -122,17 +129,11 @@ struct Inner {
     min_live_txn: AtomicU64,
     /// Locks discarded by the last crash (reported by `recover`).
     orphan_locks: AtomicU64,
-    /// Consistency-oracle history recorder; commits, transactional reads,
-    /// and snapshot reads are recorded while one is attached.
-    history: Mutex<Option<Arc<HistoryRecorder>>>,
-    /// Oracle mutation toggle: serve snapshot reads from this much earlier
-    /// than the requested timestamp while *recording* the requested one — a
-    /// deliberate staleness bug the oracle must catch.
-    oracle_stale_reads: Mutex<Option<Duration>>,
-    /// Test-only perf-mutation knob (nanoseconds): extra charge added to
-    /// every redo-log fsync, modeling a degraded device. The bench-gate
-    /// mutation proof seeds this and asserts the gate fails.
-    fsync_padding_ns: AtomicU64,
+    /// Commit timestamps handed out whose mutations are not yet applied,
+    /// ascending. A snapshot read at `ts` waits until none is at or below
+    /// `ts`, so it never sees part of a commit: the strong read timestamp
+    /// covers every timestamp already handed out.
+    unapplied: std::sync::Mutex<Vec<Timestamp>>,
 }
 
 /// A Spanner-like database. Cheap to clone; clones share state.
@@ -147,6 +148,11 @@ impl SpannerDatabase {
         SpannerDatabase::with_options(clock, SpannerOptions::default())
     }
 
+    /// Create a database with default options, built with `hooks`.
+    pub fn with_hooks(clock: SimClock, hooks: Hooks) -> Self {
+        SpannerDatabase::with_options(clock, SpannerOptions { hooks, ..Default::default() })
+    }
+
     /// Create a database with explicit options.
     pub fn with_options(clock: SimClock, options: SpannerOptions) -> Self {
         let truetime = TrueTime::with_default_epsilon(clock);
@@ -154,23 +160,19 @@ impl SpannerDatabase {
             inner: Arc::new(Inner {
                 truetime,
                 tables: RwLock::new(HashMap::new()),
-                locks: LockManager::new(),
+                locks: LockManager::new(options.hooks.faults.clone()),
                 next_txn: AtomicU64::new(1),
                 next_directory: AtomicU32::new(1),
                 options,
-                failures: FailureInjector::default(),
-                fault_injector: Mutex::new(None),
+                fail_commits: Mutex::default(),
                 obs: Mutex::new(None),
                 commits: AtomicU64::new(0),
                 aborts: AtomicU64::new(0),
                 disk: Mutex::new(None),
-                crash_points: Mutex::new(None),
                 crashed: AtomicBool::new(false),
                 min_live_txn: AtomicU64::new(0),
                 orphan_locks: AtomicU64::new(0),
-                history: Mutex::new(None),
-                oracle_stale_reads: Mutex::new(None),
-                fsync_padding_ns: AtomicU64::new(0),
+                unapplied: Default::default(),
             }),
         }
     }
@@ -179,40 +181,21 @@ impl SpannerDatabase {
     /// `Prepared` redo records and a coordinator `Outcome` record (the
     /// durability point) before applying mutations, and
     /// [`SpannerDatabase::recover`] can rebuild state after a
-    /// [`SpannerDatabase::crash`].
+    /// [`SpannerDatabase::crash`]. The disk's fsyncs and crashes consult
+    /// this database's fault injector (none without one).
     pub fn attach_durability(&self, disk: SimDisk) {
-        *self.inner.disk.lock() = Some(disk);
-    }
-
-    /// The attached durable medium, if any.
-    pub fn durability(&self) -> Option<SimDisk> {
-        self.inner.disk.lock().clone()
-    }
-
-    /// Test-only perf-mutation knob: pad every redo-log fsync charge by
-    /// `d`, modeling a degraded device. The bench-gate mutation proof seeds
-    /// this into a benched path and asserts the gate fails, then passes
-    /// once reset to zero.
-    pub fn set_redo_fsync_padding(&self, d: Duration) {
-        self.inner
-            .fsync_padding_ns
-            .store(d.as_nanos(), Ordering::Relaxed);
+        *self.inner.disk.lock() = Some(disk.with_faults(self.hooks().faults.clone()));
     }
 
     /// Charge one redo-log fsync to the clock (cost-ledger model plus any
-    /// test-only padding); returns the amount charged.
+    /// seeded [`simkit::Mutation::FsyncPadding`]); returns the amount charged.
     fn charge_fsync(&self) -> Duration {
-        let c = prof::costs::REDO_FSYNC
-            + Duration::from_nanos(self.inner.fsync_padding_ns.load(Ordering::Relaxed));
+        let mut c = prof::costs::REDO_FSYNC;
+        if let Some(simkit::Mutation::FsyncPadding(padding)) = self.hooks().mutation {
+            c += padding;
+        }
         self.inner.truetime.clock().advance(c);
         c
-    }
-
-    /// Install (or clear) the crash-point registry consulted inside the
-    /// commit path. When a registered site is armed, reaching it crashes the
-    /// database mid-commit.
-    pub fn set_crash_points(&self, points: Option<CrashPoints>) {
-        *self.inner.crash_points.lock() = points;
     }
 
     /// Whether the process is currently crashed (every operation returns
@@ -224,14 +207,12 @@ impl SpannerDatabase {
     /// Record that execution reached a named crash site; returns `true` —
     /// after crashing the database — iff the site was armed.
     fn crash_if_armed(&self, site: &'static str) -> bool {
-        let points = self.inner.crash_points.lock().clone();
-        match points {
-            Some(p) if p.reached(site) => {
-                self.crash();
-                true
-            }
-            _ => false,
+        let points = self.hooks().crash_points.as_ref();
+        let fired = points.is_some_and(|p| p.reached(site));
+        if fired {
+            self.crash();
         }
+        fired
     }
 
     /// Crash the process: drop every piece of volatile state — MVCC stores,
@@ -258,9 +239,7 @@ impl SpannerDatabase {
         if let Some(disk) = self.inner.disk.lock().as_ref() {
             disk.crash();
         }
-        if let Some(h) = self.inner.history.lock().as_ref() {
-            h.record(HistoryEvent::Crash);
-        }
+        self.hooks().record(HistoryEvent::Crash);
     }
 
     /// Recover from a crash by replaying the redo logs: rebuild every tablet
@@ -281,13 +260,7 @@ impl SpannerDatabase {
         };
         // Chaos layer: a TrueTime uncertainty spike during replay stretches
         // recovery (the commit-wait equivalent for the restart path).
-        if self.inject(FaultKind::TtUncertaintySpike, "recover-replay") {
-            let spike = self
-                .fault_injector()
-                .map(|inj| inj.tt_spike())
-                .unwrap_or_default();
-            self.inner.truetime.clock().advance(spike);
-        }
+        self.inject_tt_spike("recover-replay");
         // 1. The coordinator log decides which transactions committed.
         let outcomes = disk.read(OUTCOMES_LOG);
         report.torn_tails += usize::from(outcomes.torn_tail);
@@ -358,9 +331,7 @@ impl SpannerDatabase {
             s.attr("logs_scanned", report.logs_scanned);
             s.attr("discarded_prepares", report.discarded_prepares);
         }
-        if let Some(h) = self.inner.history.lock().as_ref() {
-            h.record(HistoryEvent::Recovered);
-        }
+        self.hooks().record(HistoryEvent::Recovered);
         report
     }
 
@@ -387,18 +358,12 @@ impl SpannerDatabase {
         &self.inner.truetime
     }
 
-    /// Install (or clear) the chaos-layer fault injector. Tablet
-    /// unavailability, TrueTime uncertainty spikes, and lock timeouts are
-    /// then injected per the injector's [`simkit::fault::FaultPlan`].
-    pub fn set_fault_injector(&self, injector: Option<Arc<FaultInjector>>) {
-        self.inner.locks.set_injector(injector.clone());
-        *self.inner.fault_injector.lock() = injector;
-    }
-
-    /// The installed fault injector, if any (shared with the messaging and
-    /// cache layers so all decisions come from one seeded stream).
-    pub fn fault_injector(&self) -> Option<Arc<FaultInjector>> {
-        self.inner.fault_injector.lock().clone()
+    /// The hooks this database was built with. Their fault injector drives
+    /// tablet unavailability, TrueTime uncertainty spikes, lock timeouts,
+    /// message drops/duplicates and disk faults; their recorder receives
+    /// every commit, transactional read, snapshot read, crash and recovery.
+    pub fn hooks(&self) -> &Hooks {
+        &self.inner.options.hooks
     }
 
     /// Install (or clear) the observability handle. Commit phases, redo
@@ -412,35 +377,6 @@ impl SpannerDatabase {
         self.inner.obs.lock().clone()
     }
 
-    /// Attach (or clear) the consistency-oracle history recorder. While one
-    /// is attached every commit, transactional read, and snapshot read is
-    /// recorded; production paths pay a single null check otherwise.
-    pub fn set_history(&self, history: Option<Arc<HistoryRecorder>>) {
-        *self.inner.history.lock() = history;
-    }
-
-    /// The attached history recorder, if any.
-    pub fn history(&self) -> Option<Arc<HistoryRecorder>> {
-        self.inner.history.lock().clone()
-    }
-
-    /// Oracle mutation toggle (test-only): serve snapshot reads `delta`
-    /// earlier than the requested timestamp while recording the requested
-    /// one. A seeded staleness bug the consistency oracle must detect —
-    /// `None` restores correct behaviour.
-    pub fn oracle_serve_stale_reads(&self, delta: Option<Duration>) {
-        *self.inner.oracle_stale_reads.lock() = delta;
-    }
-
-    /// The timestamp snapshot reads are actually served at: the requested
-    /// one unless the stale-read oracle mutation is active.
-    fn serve_ts(&self, ts: Timestamp) -> Timestamp {
-        match *self.inner.oracle_stale_reads.lock() {
-            Some(delta) => Timestamp(ts.0.saturating_sub(delta.0)),
-            None => ts,
-        }
-    }
-
     /// Record a snapshot-read observation, if a recorder is attached.
     fn record_snapshot_read(
         &self,
@@ -449,7 +385,7 @@ impl SpannerDatabase {
         ts: Timestamp,
         observed: Option<u64>,
     ) {
-        if let Some(h) = self.inner.history.lock().as_ref() {
+        if let Some(h) = &self.hooks().history {
             h.record(HistoryEvent::SnapshotRead {
                 ts,
                 table: table.to_string(),
@@ -468,18 +404,18 @@ impl SpannerDatabase {
         key: &Key,
         observed: Option<u64>,
     ) {
-        if self.inner.history.lock().is_some() {
+        if self.hooks().history.is_some() {
             txn.observed_reads.push((tid, key.clone(), observed));
         }
     }
 
-    /// Consult the chaos layer at an injection site.
-    fn inject(&self, kind: FaultKind, site: &'static str) -> bool {
-        self.inner
-            .fault_injector
-            .lock()
-            .as_ref()
-            .is_some_and(|inj| inj.should_inject(kind, site))
+    /// A TrueTime uncertainty spike at `site` widens ε: advance the clock
+    /// by the plan's spike when one fires.
+    fn inject_tt_spike(&self, site: &'static str) {
+        let faults = self.hooks().faults.as_ref();
+        if let Some(inj) = faults.filter(|f| f.should_inject(FaultKind::TtUncertaintySpike, site)) {
+            self.inner.truetime.clock().advance(inj.tt_spike());
+        }
     }
 
     /// Create `name` if it does not exist; idempotent.
@@ -550,7 +486,7 @@ impl SpannerDatabase {
             return Err(SpannerError::TxnClosed(txn.id));
         }
         self.fence(txn)?;
-        if self.inject(FaultKind::TabletUnavailable, "txn-read") {
+        if self.hooks().inject(FaultKind::TabletUnavailable, "txn-read") {
             self.abort(txn);
             return Err(SpannerError::Unavailable("txn-read: tablet unreachable"));
         }
@@ -720,12 +656,12 @@ impl SpannerDatabase {
             s
         });
         // Injected failures (tests / failure-injection experiments).
-        if let Some(err) = self.inner.failures.fail_commits.lock().pop() {
+        if let Some(err) = self.inner.fail_commits.lock().pop() {
             self.abort(&mut txn);
             return Err(err);
         }
         // Chaos layer: a participant tablet is transiently unreachable.
-        if self.inject(FaultKind::TabletUnavailable, "commit") {
+        if self.hooks().inject(FaultKind::TabletUnavailable, "commit") {
             self.abort(&mut txn);
             return Err(SpannerError::Unavailable("commit: tablet unreachable"));
         }
@@ -758,13 +694,22 @@ impl SpannerDatabase {
             s.event(format!("locks-acquired n={}", txn.mutations.len()));
         }
 
-        // Phase 2: assign a TrueTime commit timestamp inside the window.
-        let commit_ts = match self.inner.truetime.assign_commit_timestamp(min_ts, max_ts) {
-            Some(ts) => ts,
-            None => {
-                self.abort(&mut txn);
-                return Err(SpannerError::CommitWindowExpired);
-            }
+        // Phase 2: assign a TrueTime commit timestamp inside the window,
+        // and register it as unapplied in the same critical section, so a
+        // reader that sees the timestamp handed out also sees it pending.
+        let assigned = {
+            let mut unapplied = self.inner.unapplied.lock().unwrap_or_else(|e| e.into_inner());
+            let ts = self.inner.truetime.assign_commit_timestamp(min_ts, max_ts);
+            unapplied.extend(ts);
+            ts
+        };
+        let Some(commit_ts) = assigned else {
+            self.abort(&mut txn);
+            return Err(SpannerError::CommitWindowExpired);
+        };
+        let pending = PendingApply {
+            inner: &self.inner,
+            ts: commit_ts,
         };
         if let Some(s) = &span {
             s.attr("commit_ts", commit_ts.as_nanos());
@@ -821,7 +766,7 @@ impl SpannerDatabase {
             // fsync when a disk is attached, so a commit that crashes inside
             // the ambiguous window still enters the model, or after the
             // volatile apply otherwise.
-            let history = self.inner.history.lock().clone();
+            let history = &self.hooks().history;
             let mut pending_commit_event = history.as_ref().map(|_| {
                 let name_of: HashMap<u32, String> = self
                     .inner
@@ -991,7 +936,7 @@ impl SpannerDatabase {
                 }
                 // Durability point reached: the transaction is committed
                 // whatever happens next, so the oracle's model must know it.
-                if let (Some(h), Some(ev)) = (&history, pending_commit_event.take()) {
+                if let (Some(h), Some(ev)) = (history, pending_commit_event.take()) {
                     h.record(ev);
                 }
                 // The ambiguous window: the commit is durable but the client
@@ -1018,8 +963,9 @@ impl SpannerDatabase {
                 idxs.dedup();
                 participants += idxs.len();
             }
+            drop(pending);
             // No durable medium: the volatile apply is the commit point.
-            if let (Some(h), Some(ev)) = (&history, pending_commit_event.take()) {
+            if let (Some(h), Some(ev)) = (history, pending_commit_event.take()) {
                 h.record(ev);
             }
         }
@@ -1034,13 +980,7 @@ impl SpannerDatabase {
         // A TrueTime uncertainty spike widens ε, stretching the wait.
         let wait_span = obs.as_ref().map(|o| o.tracer.span("spanner.commit_wait"));
         let wait_start = self.inner.truetime.clock().now();
-        if self.inject(FaultKind::TtUncertaintySpike, "commit-wait") {
-            let spike = self
-                .fault_injector()
-                .map(|inj| inj.tt_spike())
-                .unwrap_or_default();
-            self.inner.truetime.clock().advance(spike);
-        }
+        self.inject_tt_spike("commit-wait");
         self.inner.truetime.commit_wait(commit_ts);
         let commit_wait = self.inner.truetime.clock().now().saturating_sub(wait_start);
         drop(wait_span);
@@ -1084,6 +1024,30 @@ impl SpannerDatabase {
         self.inner.truetime.strong_read_timestamp()
     }
 
+    /// Run `read` on `table`'s store for a snapshot read at `ts`. It first
+    /// waits, holding no lock, until every commit at or below `ts` has
+    /// applied (those commits still need the table locks; the wait is a few
+    /// microseconds of apply, so it yields rather than sleeps); it then reads
+    /// at `ts`, or earlier under a seeded [`simkit::Mutation::StaleReads`].
+    fn read_store<T>(
+        &self,
+        table: TableName,
+        ts: Timestamp,
+        read: impl FnOnce(&MvccStore, Timestamp) -> Result<T, SnapshotTooOld>,
+    ) -> SpannerResult<T> {
+        let pending = |u: &Vec<Timestamp>| u.first().is_some_and(|&c| c <= ts);
+        while pending(&self.inner.unapplied.lock().unwrap_or_else(|e| e.into_inner())) {
+            std::thread::yield_now();
+        }
+        let at = match self.hooks().mutation {
+            Some(simkit::Mutation::StaleReads(delta)) => Timestamp(ts.0.saturating_sub(delta.0)),
+            _ => ts,
+        };
+        let (_, data) = self.table(table)?;
+        let store = data.store.read();
+        read(&store, at).map_err(|_| SpannerError::SnapshotTooOld)
+    }
+
     /// Lock-free read of `key` at `ts`.
     pub fn snapshot_read(
         &self,
@@ -1091,19 +1055,12 @@ impl SpannerDatabase {
         key: &Key,
         ts: Timestamp,
     ) -> SpannerResult<Option<Bytes>> {
-        if self.inject(FaultKind::TabletUnavailable, "snapshot-read") {
+        if self.hooks().inject(FaultKind::TabletUnavailable, "snapshot-read") {
             return Err(SpannerError::Unavailable("snapshot-read: tablet unreachable"));
         }
-        let (_, data) = self.table(table)?;
-        let r = data
-            .store
-            .read()
-            .read_at(key, self.serve_ts(ts))
-            .map_err(|_| SpannerError::SnapshotTooOld);
-        if let Ok(value) = &r {
-            self.record_snapshot_read(table, key, ts, value.as_deref().map(hash_bytes));
-        }
-        r
+        let value = self.read_store(table, ts, |s, at| s.read_at(key, at))?;
+        self.record_snapshot_read(table, key, ts, value.as_deref().map(hash_bytes));
+        Ok(value)
     }
 
     /// Lock-free ordered scan of `range` at `ts`, up to `limit` rows.
@@ -1114,21 +1071,14 @@ impl SpannerDatabase {
         ts: Timestamp,
         limit: usize,
     ) -> SpannerResult<Vec<(Key, Bytes)>> {
-        if self.inject(FaultKind::TabletUnavailable, "snapshot-scan") {
+        if self.hooks().inject(FaultKind::TabletUnavailable, "snapshot-scan") {
             return Err(SpannerError::Unavailable("snapshot-scan: tablet unreachable"));
         }
-        let (_, data) = self.table(table)?;
-        let r = data
-            .store
-            .read()
-            .scan_at(range, self.serve_ts(ts), limit)
-            .map_err(|_| SpannerError::SnapshotTooOld);
-        if let Ok(rows) = &r {
-            for (k, v) in rows {
-                self.record_snapshot_read(table, k, ts, Some(hash_bytes(v)));
-            }
+        let rows = self.read_store(table, ts, |s, at| s.scan_at(range, at, limit))?;
+        for (k, v) in &rows {
+            self.record_snapshot_read(table, k, ts, Some(hash_bytes(v)));
         }
-        r
+        Ok(rows)
     }
 
     /// Lock-free read of `key` at `ts`, returning the value and the commit
@@ -1139,16 +1089,9 @@ impl SpannerDatabase {
         key: &Key,
         ts: Timestamp,
     ) -> SpannerResult<Option<(Bytes, Timestamp)>> {
-        let (_, data) = self.table(table)?;
-        let r = data
-            .store
-            .read()
-            .read_at_versioned(key, self.serve_ts(ts))
-            .map_err(|_| SpannerError::SnapshotTooOld);
-        if let Ok(value) = &r {
-            self.record_snapshot_read(table, key, ts, value.as_ref().map(|(b, _)| hash_bytes(b)));
-        }
-        r
+        let value = self.read_store(table, ts, |s, at| s.read_at_versioned(key, at))?;
+        self.record_snapshot_read(table, key, ts, value.as_ref().map(|(b, _)| hash_bytes(b)));
+        Ok(value)
     }
 
     /// Lock-free batched read of many keys at `ts`, returning value and
@@ -1161,28 +1104,18 @@ impl SpannerDatabase {
         keys: &[Key],
         ts: Timestamp,
     ) -> SpannerResult<Vec<Option<(Bytes, Timestamp)>>> {
-        if self.inject(FaultKind::TabletUnavailable, "snapshot-read-many") {
+        if self.hooks().inject(FaultKind::TabletUnavailable, "snapshot-read-many") {
             return Err(SpannerError::Unavailable(
                 "snapshot-read-many: tablet unreachable",
             ));
         }
-        let (_, data) = self.table(table)?;
-        let r: SpannerResult<Vec<Option<(Bytes, Timestamp)>>> = {
-            let store = data.store.read();
-            keys.iter()
-                .map(|k| {
-                    store
-                        .read_at_versioned(k, self.serve_ts(ts))
-                        .map_err(|_| SpannerError::SnapshotTooOld)
-                })
-                .collect()
-        };
-        if let Ok(rows) = &r {
-            for (k, v) in keys.iter().zip(rows) {
-                self.record_snapshot_read(table, k, ts, v.as_ref().map(|(b, _)| hash_bytes(b)));
-            }
+        let rows = self.read_store(table, ts, |s, at| {
+            keys.iter().map(|k| s.read_at_versioned(k, at)).collect::<Result<Vec<_>, _>>()
+        })?;
+        for (k, v) in keys.iter().zip(&rows) {
+            self.record_snapshot_read(table, k, ts, v.as_ref().map(|(b, _)| hash_bytes(b)));
         }
-        r
+        Ok(rows)
     }
 
     /// Transactional read (shared lock) returning the value and its commit
@@ -1252,18 +1185,11 @@ impl SpannerDatabase {
         ts: Timestamp,
         limit: usize,
     ) -> SpannerResult<Vec<(Key, Bytes)>> {
-        let (_, data) = self.table(table)?;
-        let r = data
-            .store
-            .read()
-            .scan_rev_at(range, self.serve_ts(ts), limit)
-            .map_err(|_| SpannerError::SnapshotTooOld);
-        if let Ok(rows) = &r {
-            for (k, v) in rows {
-                self.record_snapshot_read(table, k, ts, Some(hash_bytes(v)));
-            }
+        let rows = self.read_store(table, ts, |s, at| s.scan_rev_at(range, at, limit))?;
+        for (k, v) in &rows {
+            self.record_snapshot_read(table, k, ts, Some(hash_bytes(v)));
         }
-        r
+        Ok(rows)
     }
 
     /// Lock-free ordered scan returning `(key, value, version timestamp)`
@@ -1276,18 +1202,12 @@ impl SpannerDatabase {
         limit: usize,
         reverse: bool,
     ) -> SpannerResult<Vec<(Key, Bytes, Timestamp)>> {
-        let (_, data) = self.table(table)?;
-        let r = data
-            .store
-            .read()
-            .scan_at_versioned(range, self.serve_ts(ts), limit, reverse)
-            .map_err(|_| SpannerError::SnapshotTooOld);
-        if let Ok(rows) = &r {
-            for (k, v, _) in rows {
-                self.record_snapshot_read(table, k, ts, Some(hash_bytes(v)));
-            }
+        let rows =
+            self.read_store(table, ts, |s, at| s.scan_at_versioned(range, at, limit, reverse))?;
+        for (k, v, _) in &rows {
+            self.record_snapshot_read(table, k, ts, Some(hash_bytes(v)));
         }
-        r
+        Ok(rows)
     }
 
     /// Count live rows in `range` at `ts`.
@@ -1297,13 +1217,8 @@ impl SpannerDatabase {
         range: &KeyRange,
         ts: Timestamp,
     ) -> SpannerResult<usize> {
-        let (_, data) = self.table(table)?;
-        let r = data
-            .store
-            .read()
-            .count_at(range, ts)
-            .map_err(|_| SpannerError::SnapshotTooOld);
-        r
+        // Counts are not oracle-recorded, so a seeded stale read skips them.
+        self.read_store(table, ts, |s, _| s.count_at(range, ts))
     }
 
     /// Run maintenance: split overloaded tablets at their median keys and
@@ -1403,7 +1318,7 @@ impl SpannerDatabase {
     /// Inject a failure for the next commit (testing hook; also used by the
     /// failure-injection integration tests).
     pub fn inject_commit_failure(&self, err: SpannerError) {
-        self.inner.failures.fail_commits.lock().push(err);
+        self.inner.fail_commits.lock().push(err);
     }
 }
 
@@ -1421,16 +1336,37 @@ impl std::fmt::Debug for SpannerDatabase {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use simkit::Duration;
+    use simkit::fault::FaultInjector;
+    use simkit::{CrashPoints, Duration};
 
     const T: TableName = "Entities";
 
     fn db() -> SpannerDatabase {
+        db_with(|_| Hooks::default())
+    }
+
+    /// A database built with the hooks `make` returns for its clock.
+    fn db_with(make: impl FnOnce(&SimClock) -> Hooks) -> SpannerDatabase {
         let clock = SimClock::new();
         clock.advance(Duration::from_secs(1));
-        let db = SpannerDatabase::new(clock);
+        let hooks = make(&clock);
+        let db = SpannerDatabase::with_hooks(clock, hooks);
         db.create_table(T);
         db
+    }
+
+    fn crash_points_db(cp: &CrashPoints) -> SpannerDatabase {
+        db_with(|_| Hooks {
+            crash_points: Some(cp.clone()),
+            ..Hooks::default()
+        })
+    }
+
+    fn faulty_db(plan: simkit::fault::FaultPlan) -> SpannerDatabase {
+        db_with(|clock| Hooks {
+            faults: Some(FaultInjector::new(clock.clone(), plan)),
+            ..Hooks::default()
+        })
     }
 
     fn bytes(s: &str) -> Bytes {
@@ -1612,6 +1548,7 @@ mod tests {
                     split_write_threshold: 50,
                     ..SplitPolicy::default()
                 },
+                ..SpannerOptions::default()
             },
         );
         db.create_table(T);
@@ -1738,11 +1675,9 @@ mod tests {
 
     #[test]
     fn armed_crash_after_outcome_is_durable_but_unacked() {
-        let db = db();
-        let disk = SimDisk::new();
-        db.attach_durability(disk.clone());
         let cp = CrashPoints::new();
-        db.set_crash_points(Some(cp.clone()));
+        let db = crash_points_db(&cp);
+        db.attach_durability(SimDisk::new());
         cp.arm("commit-after-outcome", 0);
         let mut t = db.begin();
         db.txn_put(&mut t, T, Key::from("k"), bytes("v")).unwrap();
@@ -1762,11 +1697,9 @@ mod tests {
 
     #[test]
     fn armed_crash_after_prepare_discards_undecided_txn() {
-        let db = db();
-        let disk = SimDisk::new();
-        db.attach_durability(disk.clone());
         let cp = CrashPoints::new();
-        db.set_crash_points(Some(cp.clone()));
+        let db = crash_points_db(&cp);
+        db.attach_durability(SimDisk::new());
         cp.arm("commit-after-prepare", 0);
         let mut t = db.begin();
         db.txn_put(&mut t, T, Key::from("k"), bytes("v")).unwrap();
@@ -1786,12 +1719,10 @@ mod tests {
 
     #[test]
     fn multi_tablet_crash_between_prepares_stays_atomic() {
-        let db = db();
-        let disk = SimDisk::new();
-        db.attach_durability(disk.clone());
-        db.pre_split(T, vec![Key::from("m")]).unwrap();
         let cp = CrashPoints::new();
-        db.set_crash_points(Some(cp.clone()));
+        let db = crash_points_db(&cp);
+        db.attach_durability(SimDisk::new());
+        db.pre_split(T, vec![Key::from("m")]).unwrap();
         cp.arm("commit-partial-prepare", 0);
         let mut t = db.begin();
         db.txn_put(&mut t, T, Key::from("a"), bytes("1")).unwrap();
@@ -1829,28 +1760,23 @@ mod tests {
     fn fsync_failure_aborts_commit_cleanly() {
         use simkit::fault::{FaultPlan, FaultRule};
 
-        let db = db();
-        let disk = SimDisk::new();
         let plan = FaultPlan::new(3).rule(FaultRule::probabilistic(FaultKind::FsyncFail, 1.0));
-        disk.set_fault_injector(Some(FaultInjector::new(
-            db.truetime().clock().clone(),
-            plan,
-        )));
-        db.attach_durability(disk.clone());
+        let db = faulty_db(plan);
+        db.attach_durability(SimDisk::new());
         let mut t = db.begin();
         db.txn_put(&mut t, T, Key::from("k"), bytes("v")).unwrap();
         assert_eq!(
             db.commit(t, Timestamp::ZERO, Timestamp::MAX).unwrap_err(),
             SpannerError::Unavailable("redo-log fsync failed")
         );
-        // Nothing applied, no lock left behind, and a retry with a fresh
-        // injector-free disk state succeeds.
+        // Nothing applied, no lock left behind, and a retry with the
+        // injector disarmed succeeds.
         assert_eq!(
             db.snapshot_read(T, &Key::from("k"), db.strong_read_ts())
                 .unwrap(),
             None
         );
-        disk.set_fault_injector(None);
+        db.hooks().faults.as_ref().unwrap().disarm();
         let mut t = db.begin();
         db.txn_put(&mut t, T, Key::from("k"), bytes("v")).unwrap();
         db.commit(t, Timestamp::ZERO, Timestamp::MAX).unwrap();
@@ -1861,8 +1787,6 @@ mod tests {
         use simkit::fault::{FaultPlan, FaultRule};
         use simkit::SimRng;
 
-        let db = db();
-        let disk = SimDisk::new();
         // A single-participant commit consults FsyncFail twice: the prepare
         // fsync, then the outcome fsync. Find a seed whose first draw lets
         // the prepare through and whose second fails the outcome, so the
@@ -1875,11 +1799,8 @@ mod tests {
             })
             .unwrap();
         let plan = FaultPlan::new(seed).rule(FaultRule::probabilistic(FaultKind::FsyncFail, p));
-        disk.set_fault_injector(Some(FaultInjector::new(
-            db.truetime().clock().clone(),
-            plan,
-        )));
-        db.attach_durability(disk.clone());
+        let db = faulty_db(plan);
+        db.attach_durability(SimDisk::new());
 
         let mut t = db.begin();
         db.txn_put(&mut t, T, Key::from("poison"), bytes("v1")).unwrap();
@@ -1890,7 +1811,7 @@ mod tests {
 
         // A later commit fsyncs the shared outcomes log successfully. It
         // must not flush the aborted transaction's stale outcome record.
-        disk.set_fault_injector(None);
+        db.hooks().faults.as_ref().unwrap().disarm();
         let mut t = db.begin();
         db.txn_put(&mut t, T, Key::from("other"), bytes("v2")).unwrap();
         db.commit(t, Timestamp::ZERO, Timestamp::MAX).unwrap();
@@ -1913,12 +1834,10 @@ mod tests {
     fn chaos_injector_fails_commits_and_locks() {
         use simkit::fault::{FaultPlan, FaultRule};
 
-        let db = db();
-        let clock = db.truetime().clock().clone();
         let plan = FaultPlan::new(5)
             .rule(FaultRule::probabilistic(FaultKind::TabletUnavailable, 1.0))
             .rule(FaultRule::probabilistic(FaultKind::LockTimeout, 1.0));
-        db.set_fault_injector(Some(FaultInjector::new(clock, plan)));
+        let db = faulty_db(plan);
 
         let mut txn = db.begin();
         assert_eq!(
@@ -1935,8 +1854,8 @@ mod tests {
             .snapshot_read(T, &Key::from("k"), db.strong_read_ts())
             .is_err());
 
-        // Clearing the injector restores normal behaviour.
-        db.set_fault_injector(None);
+        // Disarming the injector restores normal behaviour.
+        db.hooks().faults.as_ref().unwrap().disarm();
         let mut txn = db.begin();
         db.txn_put(&mut txn, T, Key::from("k"), bytes("v")).unwrap();
         db.commit(txn, Timestamp::ZERO, Timestamp::MAX).unwrap();

@@ -42,19 +42,14 @@ pub type LockName = (u32, Key);
 #[derive(Debug, Default)]
 pub struct LockManager {
     locks: Mutex<HashMap<LockName, LockState>>,
-    injector: Mutex<Option<Arc<FaultInjector>>>,
+    faults: Option<Arc<FaultInjector>>,
 }
 
 impl LockManager {
-    /// Create an empty lock manager.
-    pub fn new() -> Self {
-        LockManager::default()
-    }
-
-    /// Install a fault injector; [`FaultKind::LockTimeout`] faults then make
-    /// `acquire` fail with [`SpannerError::LockTimeout`].
-    pub fn set_injector(&self, injector: Option<Arc<FaultInjector>>) {
-        *self.injector.lock() = injector;
+    /// Create an empty lock manager. [`FaultKind::LockTimeout`] faults from
+    /// `faults` make `acquire` fail with [`SpannerError::LockTimeout`].
+    pub fn new(faults: Option<Arc<FaultInjector>>) -> Self {
+        LockManager { faults, ..Default::default() }
     }
 
     /// Try to acquire a lock for `txn`. Shared locks are compatible with
@@ -62,7 +57,7 @@ impl LockManager {
     /// upgrade to exclusive if it is the only holder. Re-acquisition is
     /// idempotent.
     pub fn acquire(&self, txn: TxnId, table: u32, key: &Key, mode: LockMode) -> SpannerResult<()> {
-        if let Some(inj) = self.injector.lock().as_ref() {
+        if let Some(inj) = &self.faults {
             if inj.should_inject(FaultKind::LockTimeout, "lock-acquire") {
                 return Err(SpannerError::LockTimeout);
             }
@@ -167,7 +162,7 @@ mod tests {
 
     #[test]
     fn exclusive_excludes_everyone() {
-        let lm = LockManager::new();
+        let lm = LockManager::default();
         let k = Key::from("k");
         lm.acquire(TxnId(1), T, &k, LockMode::Exclusive).unwrap();
         assert!(lm.acquire(TxnId(2), T, &k, LockMode::Exclusive).is_err());
@@ -179,7 +174,7 @@ mod tests {
 
     #[test]
     fn shared_locks_coexist() {
-        let lm = LockManager::new();
+        let lm = LockManager::default();
         let k = Key::from("k");
         lm.acquire(TxnId(1), T, &k, LockMode::Shared).unwrap();
         lm.acquire(TxnId(2), T, &k, LockMode::Shared).unwrap();
@@ -192,7 +187,7 @@ mod tests {
 
     #[test]
     fn upgrade_allowed_only_for_sole_reader() {
-        let lm = LockManager::new();
+        let lm = LockManager::default();
         let k = Key::from("k");
         lm.acquire(TxnId(1), T, &k, LockMode::Shared).unwrap();
         lm.acquire(TxnId(1), T, &k, LockMode::Exclusive).unwrap(); // sole holder upgrades
@@ -205,7 +200,7 @@ mod tests {
 
     #[test]
     fn release_unblocks() {
-        let lm = LockManager::new();
+        let lm = LockManager::default();
         let k = Key::from("k");
         lm.acquire(TxnId(1), T, &k, LockMode::Exclusive).unwrap();
         lm.release_all(TxnId(1));
@@ -215,7 +210,7 @@ mod tests {
 
     #[test]
     fn different_keys_and_tables_do_not_conflict() {
-        let lm = LockManager::new();
+        let lm = LockManager::default();
         lm.acquire(TxnId(1), 0, &Key::from("k"), LockMode::Exclusive)
             .unwrap();
         lm.acquire(TxnId(2), 0, &Key::from("other"), LockMode::Exclusive)
@@ -226,7 +221,7 @@ mod tests {
 
     #[test]
     fn shared_release_keeps_other_holders() {
-        let lm = LockManager::new();
+        let lm = LockManager::default();
         let k = Key::from("k");
         lm.acquire(TxnId(1), T, &k, LockMode::Shared).unwrap();
         lm.acquire(TxnId(2), T, &k, LockMode::Shared).unwrap();

@@ -119,15 +119,14 @@ impl MessageQueue {
     /// [`FaultKind::MessageDuplicate`] fault delivers without acknowledging,
     /// so the same messages are redelivered on the next dequeue.
     pub fn dequeue(&self, topic: &[u8], limit: usize) -> SpannerResult<Vec<QueuedMessage>> {
-        if let Some(inj) = self.db.fault_injector() {
-            if inj.should_inject(FaultKind::MessageDrop, "dequeue") {
-                return Err(SpannerError::Unavailable("dequeue: delivery dropped"));
-            }
-            if inj.should_inject(FaultKind::MessageDuplicate, "dequeue") {
-                // Deliver without acking: redelivered next time.
-                let ts = self.db.strong_read_ts();
-                return self.peek(topic, ts, limit);
-            }
+        let hooks = self.db.hooks();
+        if hooks.inject(FaultKind::MessageDrop, "dequeue") {
+            return Err(SpannerError::Unavailable("dequeue: delivery dropped"));
+        }
+        if hooks.inject(FaultKind::MessageDuplicate, "dequeue") {
+            // Deliver without acking: redelivered next time.
+            let ts = self.db.strong_read_ts();
+            return self.peek(topic, ts, limit);
         }
         let ts = self.db.strong_read_ts();
         let msgs = self.peek(topic, ts, limit)?;

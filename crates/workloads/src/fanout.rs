@@ -14,7 +14,7 @@ use realtime::{Connection, QueryId, RealtimeCache, RealtimeOptions, ResilientLis
 use server::FirestoreService;
 use simkit::fault::{FaultInjector, FaultKind, FaultPlan, FaultRule};
 use simkit::history::HistoryRecorder;
-use simkit::{Duration, SimClock, SimDisk, SimRng, Timestamp};
+use simkit::{Duration, Hooks, SimClock, SimDisk, SimRng, Timestamp};
 use spanner::SpannerDatabase;
 use std::collections::{BTreeSet, HashMap};
 
@@ -157,7 +157,12 @@ pub fn run_fanout(cfg: &FanoutConfig) -> FanoutReport {
     assert!(cfg.slow <= cfg.listeners);
     let clock = SimClock::new();
     clock.advance(Duration::from_secs(1));
-    let spanner = SpannerDatabase::new(clock.clone());
+    let recorder = cfg.oracle.then(HistoryRecorder::new);
+    let hooks = Hooks {
+        history: recorder.clone(),
+        ..Hooks::default()
+    };
+    let spanner = SpannerDatabase::with_hooks(clock.clone(), hooks);
     spanner.attach_durability(SimDisk::new());
     let db = FirestoreDatabase::create_default(spanner.clone());
     let mut opts = RealtimeOptions::default();
@@ -165,13 +170,8 @@ pub fn run_fanout(cfg: &FanoutConfig) -> FanoutReport {
     // stalled consumer is detected within the run.
     opts.fanout.flush_interval = Duration::from_millis(50);
     opts.fanout.stall_deadline = Duration::from_millis(500);
-    let cache = RealtimeCache::new(spanner.truetime().clone(), opts);
+    let cache = RealtimeCache::new(&spanner, opts);
     db.set_observer(cache.observer_for(db.directory()));
-    let recorder = cfg.oracle.then(HistoryRecorder::new);
-    if let Some(rec) = &recorder {
-        spanner.set_history(Some(rec.clone()));
-        cache.set_history(Some(rec.clone()));
-    }
 
     let mut rng = SimRng::new(cfg.seed);
     let query = Query::parse("/scores").unwrap();

@@ -26,7 +26,7 @@ use server::{FirestoreService, ServiceOptions, TenantLimits};
 use simkit::fault::{FaultInjector, FaultKind, FaultPlan, FaultRule};
 use simkit::history::HistoryRecorder;
 use simkit::stats::Histogram;
-use simkit::{Duration, SimClock, SimDisk, SimRng, Timestamp};
+use simkit::{Duration, Hooks, SimClock, SimDisk, SimRng, Timestamp};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -146,6 +146,8 @@ impl FleetWorld {
     pub fn build(cfg: &FleetConfig) -> FleetWorld {
         let clock = SimClock::new();
         clock.advance(Duration::from_secs(1));
+        let faults = cfg.chaos.then(|| chaos_injector(&clock, cfg.seed ^ 0xF1EE));
+        let recorder = HistoryRecorder::new();
         let svc = FirestoreService::new(
             clock,
             ServiceOptions {
@@ -153,13 +155,15 @@ impl FleetWorld {
                 autoscaling: false,
                 shed_watermark: cfg.shed_watermark,
                 gc_interval: Duration::from_secs(10),
+                hooks: Hooks {
+                    faults,
+                    history: Some(recorder.clone()),
+                    ..Hooks::default()
+                },
                 ..ServiceOptions::default()
             },
         );
         svc.spanner().attach_durability(SimDisk::new());
-        let recorder = HistoryRecorder::new();
-        svc.spanner().set_history(Some(recorder.clone()));
-        svc.realtime().set_history(Some(recorder.clone()));
 
         let quiet_names: Vec<String> = (0..cfg.quiet_databases)
             .map(|i| format!("quiet-{i}"))
@@ -265,6 +269,7 @@ impl TrackedListener {
     }
 }
 
+/// The chaos plan, disarmed until the run starts.
 fn chaos_injector(clock: &SimClock, seed: u64) -> Arc<FaultInjector> {
     let plan = FaultPlan::new(seed)
         .rule(FaultRule::probabilistic(FaultKind::CacheUnavailable, 0.02))
@@ -272,7 +277,9 @@ fn chaos_injector(clock: &SimClock, seed: u64) -> Arc<FaultInjector> {
         .rule(FaultRule::probabilistic(FaultKind::FsyncFail, 0.01))
         .rule(FaultRule::probabilistic(FaultKind::TtUncertaintySpike, 0.02))
         .with_tt_spike(Duration::from_millis(10));
-    FaultInjector::new(clock.clone(), plan)
+    let injector = FaultInjector::new(clock.clone(), plan);
+    injector.disarm();
+    injector
 }
 
 /// Crash Spanner and bring the whole region back: redo-log recovery, a
@@ -402,10 +409,9 @@ pub fn run_fleet(world: &FleetWorld, cfg: &FleetConfig) -> FleetReport {
 
     // Chaos starts only once the fleet is seeded and listening; the run
     // itself (not the setup) is what gets the faults.
-    if cfg.chaos {
-        let injector = chaos_injector(svc.clock(), cfg.seed ^ 0xF1EE);
-        svc.spanner().set_fault_injector(Some(injector.clone()));
-        svc.realtime().set_fault_injector(Some(injector));
+    let faults = svc.spanner().hooks().faults.as_ref();
+    if let Some(injector) = faults {
+        injector.arm();
     }
 
     let mut report = FleetReport {
@@ -641,8 +647,9 @@ pub fn run_fleet(world: &FleetWorld, cfg: &FleetConfig) -> FleetReport {
     // Quiesce: stop the chaos, drain the Backend, and flush every client
     // dry — the hammer client's stalled writes retry to success here as
     // the overload clears.
-    svc.spanner().set_fault_injector(None);
-    svc.realtime().set_fault_injector(None);
+    if let Some(injector) = faults {
+        injector.disarm();
+    }
     for _ in 0..64 {
         let now = svc.clock().now();
         driver.advance(now, now + Duration::from_secs(1), cfg.quantum);
@@ -793,6 +800,37 @@ mod tests {
             report.throttle_counts
         );
         assert_eq!(report.pending_after_quiesce, 0);
+    }
+
+    /// Both chaos plans carry `FsyncFail`, and their injector must reach
+    /// the redo-log disk: redo fsyncs really fail under chaos. (The oracle
+    /// checks these history seeds in `tests/consistency_oracle.rs`.)
+    #[test]
+    fn chaos_runs_fail_redo_fsyncs() {
+        use crate::history::{run_history_workload, HistoryConfig, HistoryWorld};
+        use simkit::Obs;
+
+        let failures = |obs: &Obs| obs.metrics.counter_value("spanner.redo.fsync_failures", &[]);
+        let mut history_failures = 0;
+        for seed in [1, 2, 3, 7, 8, 99, 12345, 0x57A1E] {
+            let cfg = HistoryConfig::new(seed);
+            let world = HistoryWorld::build(&cfg);
+            let obs = Obs::new(world.clock.clone(), seed);
+            world.spanner.set_obs(Some(obs.clone()));
+            run_history_workload(&world, &cfg);
+            history_failures += failures(&obs);
+        }
+        assert!(history_failures > 0, "history chaos never failed a redo fsync");
+
+        // About a third of seeds fail a redo fsync in the fleet's chaos
+        // phase (a few dozen fsyncs at p = 0.01); this one fails three.
+        let cfg = FleetConfig {
+            seed: 0x222A9,
+            ..small_config(true)
+        };
+        let world = FleetWorld::build(&cfg);
+        run_fleet(&world, &cfg);
+        assert!(failures(world.svc.obs()) > 0, "fleet chaos never failed a redo fsync");
     }
 
     #[test]

@@ -9,10 +9,10 @@
 //! model store and verifies strict serializability, listener-snapshot
 //! consistency, and exactly-once application of acked client mutations.
 //!
-//! The world is built separately from the run so tests can flip oracle
-//! mutation toggles (serve stale reads, drop changelog entries, reorder
-//! delivery, ignore the dedup ledger) before generating a history, then
-//! assert the checker *rejects* it.
+//! The world is built from the run's [`HistoryConfig`], whose optional
+//! [`Mutation`] seeds one bug (stale reads, dropped changelog entries,
+//! reordered delivery, an ignored dedup ledger) into the stack's hooks, so
+//! tests can assert the checker *rejects* the history it produces.
 
 use client::{ClientOptions, FirestoreClient};
 use firestore_core::database::doc;
@@ -23,7 +23,7 @@ use firestore_core::{
 use realtime::{Connection, ListenEvent, QueryId, RealtimeCache, RealtimeOptions};
 use simkit::fault::{FaultInjector, FaultKind, FaultPlan, FaultRule};
 use simkit::history::HistoryRecorder;
-use simkit::{Duration, SimClock, SimDisk, SimRng, Timestamp};
+use simkit::{CrashPoints, Duration, Hooks, Mutation, SimClock, SimDisk, SimRng, Timestamp};
 use spanner::SpannerDatabase;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -54,22 +54,27 @@ pub struct HistoryWorld {
 }
 
 impl HistoryWorld {
-    /// Build the stack: Spanner + durability, Firestore database with open
-    /// rules, Real-time Cache wired as the commit observer, and one
-    /// recorder attached to Spanner and the cache (the client and API
-    /// layers reach it through [`FirestoreDatabase::history`]).
-    pub fn build() -> HistoryWorld {
+    /// Build the stack for `cfg`: Spanner + durability, Firestore database
+    /// with open rules, Real-time Cache wired as the commit observer. One
+    /// [`Hooks`] value reaches every layer: the recorder, unarmed crash
+    /// points, `cfg.mutation`, and (when `cfg.chaos`) the chaos injector.
+    pub fn build(cfg: &HistoryConfig) -> HistoryWorld {
         let clock = SimClock::new();
         clock.advance(Duration::from_secs(1));
-        let spanner = SpannerDatabase::new(clock.clone());
+        let faults = cfg.chaos.then(|| chaos_injector(&clock, cfg.seed ^ 0x51D));
+        let recorder = HistoryRecorder::new();
+        let hooks = Hooks {
+            faults,
+            crash_points: Some(CrashPoints::new()),
+            history: Some(recorder.clone()),
+            mutation: cfg.mutation,
+        };
+        let spanner = SpannerDatabase::with_hooks(clock.clone(), hooks);
         spanner.attach_durability(SimDisk::new());
         let db = FirestoreDatabase::create_default(spanner.clone());
         db.set_rules(OPEN_RULES).unwrap();
-        let cache = RealtimeCache::new(spanner.truetime().clone(), RealtimeOptions::default());
+        let cache = RealtimeCache::new(&spanner, RealtimeOptions::default());
         db.set_observer(cache.observer_for(db.directory()));
-        let recorder = HistoryRecorder::new();
-        spanner.set_history(Some(recorder.clone()));
-        cache.set_history(Some(recorder.clone()));
         HistoryWorld {
             clock,
             spanner,
@@ -92,16 +97,19 @@ pub struct HistoryConfig {
     pub chaos: bool,
     /// Maximum number of crash–recover cycles.
     pub max_crashes: usize,
+    /// A bug seeded into the stack (the oracle must reject the history).
+    pub mutation: Option<Mutation>,
 }
 
 impl HistoryConfig {
-    /// Default shape: 120 steps, chaos on, up to 2 crash cycles.
+    /// Default shape: 120 steps, chaos on, up to 2 crash cycles, no bug.
     pub fn new(seed: u64) -> HistoryConfig {
         HistoryConfig {
             seed,
             steps: 120,
             chaos: true,
             max_crashes: 2,
+            mutation: None,
         }
     }
 }
@@ -173,14 +181,17 @@ impl Listener {
     }
 }
 
-fn chaos_injector(world: &HistoryWorld, seed: u64) -> Arc<FaultInjector> {
+/// The chaos plan, disarmed until the run starts.
+fn chaos_injector(clock: &SimClock, seed: u64) -> Arc<FaultInjector> {
     let plan = FaultPlan::new(seed)
         .rule(FaultRule::probabilistic(FaultKind::CacheUnavailable, 0.05))
         .rule(FaultRule::probabilistic(FaultKind::LockTimeout, 0.03))
         .rule(FaultRule::probabilistic(FaultKind::FsyncFail, 0.02))
         .rule(FaultRule::probabilistic(FaultKind::TtUncertaintySpike, 0.05))
         .with_tt_spike(Duration::from_millis(20));
-    FaultInjector::new(world.clock.clone(), plan)
+    let injector = FaultInjector::new(clock.clone(), plan);
+    injector.disarm();
+    injector
 }
 
 fn crash_recover(
@@ -212,15 +223,14 @@ fn crash_recover(
     }
 }
 
-/// Run the seeded workload against a built world and return everything the
-/// checker needs. The recorder fills as a side effect
-/// (`world.recorder`).
+/// Run the seeded workload against a world built from the same `cfg` and
+/// return everything the checker needs. The recorder fills as a side
+/// effect (`world.recorder`).
 pub fn run_history_workload(world: &HistoryWorld, cfg: &HistoryConfig) -> HistoryOutcome {
     let mut rng = SimRng::new(cfg.seed);
-    if cfg.chaos {
-        let injector = chaos_injector(world, cfg.seed ^ 0x51D);
-        world.spanner.set_fault_injector(Some(injector.clone()));
-        world.cache.set_fault_injector(Some(injector));
+    let faults = world.spanner.hooks().faults.as_ref();
+    if let Some(injector) = faults {
+        injector.arm();
     }
 
     let mut queries: HashMap<u64, Query> = HashMap::new();
@@ -412,8 +422,9 @@ pub fn run_history_workload(world: &HistoryWorld, cfg: &HistoryConfig) -> Histor
 
     // Quiesce: end the chaos windows, flush the client dry, and pump
     // everything until listeners are current.
-    world.spanner.set_fault_injector(None);
-    world.cache.set_fault_injector(None);
+    if let Some(injector) = faults {
+        injector.disarm();
+    }
     for _ in 0..32 {
         world.clock.advance(Duration::from_secs(2));
         let _ = client.sync();
@@ -449,8 +460,9 @@ mod tests {
     #[test]
     fn workload_is_deterministic_per_seed() {
         let run = |seed| {
-            let world = HistoryWorld::build();
-            let out = run_history_workload(&world, &HistoryConfig::new(seed));
+            let cfg = HistoryConfig::new(seed);
+            let world = HistoryWorld::build(&cfg);
+            let out = run_history_workload(&world, &cfg);
             (world.recorder.len(), out.commits, out.crashes)
         };
         assert_eq!(run(7), run(7));
@@ -460,8 +472,9 @@ mod tests {
     #[test]
     fn workload_reaches_every_event_kind() {
         use simkit::history::HistoryEvent;
-        let world = HistoryWorld::build();
-        let out = run_history_workload(&world, &HistoryConfig::new(11));
+        let cfg = HistoryConfig::new(11);
+        let world = HistoryWorld::build(&cfg);
+        let out = run_history_workload(&world, &cfg);
         assert!(out.commits > 0);
         let events = world.recorder.events();
         let has = |f: &dyn Fn(&HistoryEvent) -> bool| events.iter().any(|r| f(&r.event));

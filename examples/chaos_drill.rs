@@ -10,15 +10,33 @@ use firestore_core::database::doc;
 use firestore_core::{Backoff, Caller, Consistency, Query, RetryPolicy, Value, Write};
 use realtime::{RealtimeCache, RealtimeOptions, ResilientListener};
 use simkit::fault::{FaultInjector, FaultKind, FaultPlan, FaultRule};
-use simkit::{Duration, SimClock};
+use simkit::{Duration, Hooks, SimClock, Timestamp};
 use spanner::SpannerDatabase;
 
 fn main() {
     let clock = SimClock::new();
     clock.advance(Duration::from_secs(1));
-    let spanner = SpannerDatabase::new(clock.clone());
+
+    // The chaos plan: tablets flap 20% of the time, locks time out 5%, and
+    // the Real-time Cache goes completely dark for seconds 2..4. It stays
+    // disarmed while the listener is set up.
+    let plan = FaultPlan::new(42)
+        .rule(FaultRule::probabilistic(FaultKind::TabletUnavailable, 0.20))
+        .rule(FaultRule::probabilistic(FaultKind::LockTimeout, 0.05))
+        .rule(FaultRule::scheduled(
+            FaultKind::CacheUnavailable,
+            Timestamp::from_secs(2),
+            Timestamp::from_secs(4),
+        ));
+    let injector = FaultInjector::new(clock.clone(), plan);
+    injector.disarm();
+    let hooks = Hooks {
+        faults: Some(injector.clone()),
+        ..Hooks::default()
+    };
+    let spanner = SpannerDatabase::with_hooks(clock.clone(), hooks);
     let db = firestore_core::FirestoreDatabase::create_default(spanner.clone());
-    let cache = RealtimeCache::new(spanner.truetime().clone(), RealtimeOptions::default());
+    let cache = RealtimeCache::new(&spanner, RealtimeOptions::default());
     db.set_observer(cache.observer_for(db.directory()));
 
     // A listener watches /scores from the start.
@@ -31,21 +49,7 @@ fn main() {
     )
     .expect("listen");
     listener.poll().expect("initial snapshot");
-
-    // The chaos plan: tablets flap 20% of the time, locks time out 5%, and
-    // the Real-time Cache goes completely dark for seconds 2..4.
-    let outage_start = clock.now() + Duration::from_secs(1);
-    let outage_end = outage_start + Duration::from_secs(2);
-    let plan = FaultPlan::new(42)
-        .rule(FaultRule::probabilistic(FaultKind::TabletUnavailable, 0.20))
-        .rule(FaultRule::probabilistic(FaultKind::LockTimeout, 0.05))
-        .rule(FaultRule::scheduled(
-            FaultKind::CacheUnavailable,
-            outage_start,
-            outage_end,
-        ));
-    let injector = FaultInjector::new(clock.clone(), plan);
-    db.spanner().set_fault_injector(Some(injector.clone()));
+    injector.arm();
     listener.set_fault_injector(Some(injector.clone()));
 
     // Keep writing under fire, retrying transient failures with jittered
@@ -85,7 +89,7 @@ fn main() {
             }
         }
     }
-    db.spanner().set_fault_injector(None);
+    injector.disarm();
     clock.advance(Duration::from_secs(5));
     cache.tick();
     for event in listener.poll().expect("final poll") {

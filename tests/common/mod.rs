@@ -10,8 +10,10 @@
 
 use firestore_core::FirestoreDatabase;
 use realtime::{RealtimeCache, RealtimeOptions};
-use simkit::{Duration, SimClock};
+use simkit::fault::{FaultInjector, FaultPlan};
+use simkit::{Duration, Hooks, SimClock};
 use spanner::SpannerDatabase;
+use std::sync::Arc;
 
 /// Rules granting everything — for suites exercising layers below
 /// security.
@@ -38,11 +40,17 @@ pub struct World {
 /// Build the standard stack: clock advanced 1s, Spanner, default database,
 /// Real-time Cache observing commits.
 pub fn world() -> World {
+    world_with_hooks(|_| Hooks::default())
+}
+
+/// [`world`] built with the hooks `make` returns for the world's clock,
+/// shared by Spanner and the Real-time Cache.
+pub fn world_with_hooks(make: impl FnOnce(&SimClock) -> Hooks) -> World {
     let clock = SimClock::new();
     clock.advance(Duration::from_secs(1));
-    let spanner = SpannerDatabase::new(clock.clone());
+    let spanner = SpannerDatabase::with_hooks(clock.clone(), make(&clock));
     let db = FirestoreDatabase::create_default(spanner.clone());
-    let cache = RealtimeCache::new(spanner.truetime().clone(), RealtimeOptions::default());
+    let cache = RealtimeCache::new(&spanner, RealtimeOptions::default());
     db.set_observer(cache.observer_for(db.directory()));
     World {
         clock,
@@ -57,4 +65,17 @@ pub fn world_with_rules() -> World {
     let w = world();
     w.db.set_rules(OPEN_RULES).unwrap();
     w
+}
+
+/// [`world_with_rules`] whose hooks carry an injector for `plan`, returned
+/// disarmed: the test arms it where the chaos should start.
+pub fn chaos_world(plan: FaultPlan) -> (World, Arc<FaultInjector>) {
+    let w = world_with_hooks(|clock| Hooks {
+        faults: Some(FaultInjector::new(clock.clone(), plan)),
+        ..Hooks::default()
+    });
+    let injector = w.spanner.hooks().faults.clone().unwrap();
+    injector.disarm();
+    w.db.set_rules(OPEN_RULES).unwrap();
+    (w, injector)
 }

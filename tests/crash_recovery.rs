@@ -27,7 +27,7 @@ use firestore_core::{
     Caller, Consistency, Document, FirestoreDatabase, FirestoreError, Query, Value, Write,
 };
 use realtime::{ChangeKind, Connection, ListenEvent, QueryId, RealtimeCache};
-use simkit::{CrashPoints, SimDisk, SimRng};
+use simkit::{CrashPoints, Hooks, SimClock, SimDisk, SimRng};
 use spanner::{KeyRange, SpannerDatabase};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -45,8 +45,8 @@ fn fields_of(d: &Document) -> Fields {
         .collect()
 }
 
-fn build() -> (FirestoreDatabase, RealtimeCache, SpannerDatabase) {
-    let w = common::world();
+fn build(hooks: impl FnOnce(&SimClock) -> Hooks) -> (FirestoreDatabase, RealtimeCache, SpannerDatabase) {
+    let w = common::world_with_hooks(hooks);
     // Split Entities at /c/m: commits touching ids on both sides become
     // multi-tablet (distributed) transactions.
     w.spanner
@@ -340,10 +340,12 @@ fn verify_index_consistency(db: &FirestoreDatabase, context: &str) {
 /// Run the seeded workload, optionally with one crash armed. Returns the
 /// registry (for site enumeration) and whether a crash fired.
 fn run(seed: u64, arm: Option<(&str, u64)>) -> (CrashPoints, bool) {
-    let (db, cache, spanner) = build();
-    spanner.attach_durability(SimDisk::new());
     let cp = CrashPoints::new();
-    spanner.set_crash_points(Some(cp.clone()));
+    let (db, cache, spanner) = build(|_| Hooks {
+        crash_points: Some(cp.clone()),
+        ..Hooks::default()
+    });
+    spanner.attach_durability(SimDisk::new());
     if let Some((site, nth)) = arm {
         cp.arm(site, nth);
     }
@@ -491,10 +493,14 @@ fn torn_tail_recovers_to_consistent_state() {
     use simkit::fault::{FaultInjector, FaultKind, FaultPlan, FaultRule};
 
     let seed = crash_seed().wrapping_add(1);
-    let (db, _cache, spanner) = build();
-    let disk = SimDisk::new();
-    spanner.attach_durability(disk.clone());
-    let clock = spanner.truetime().clock().clone();
+    let torn = FaultPlan::new(seed).rule(FaultRule::probabilistic(FaultKind::TornTail, 1.0));
+    let points = CrashPoints::new();
+    let (db, _cache, spanner) = build(|clock| Hooks {
+        faults: Some(FaultInjector::new(clock.clone(), torn)),
+        crash_points: Some(points.clone()),
+        ..Hooks::default()
+    });
+    spanner.attach_durability(SimDisk::new());
 
     // Clean, acked commit.
     db.commit_writes(
@@ -506,11 +512,7 @@ fn torn_tail_recovers_to_consistent_state() {
     // The next commit dies between the outcome append and its fsync, with
     // a TornTail fault active: its prepares are durable, and a prefix of
     // the half-written outcome record reaches the durable image.
-    let torn = FaultPlan::new(seed).rule(FaultRule::probabilistic(FaultKind::TornTail, 1.0));
-    disk.set_fault_injector(Some(FaultInjector::new(clock, torn)));
-    let points = CrashPoints::new();
-    points.arm("commit-outcome-unsynced", 0);
-    spanner.set_crash_points(Some(points));
+    points.arm("commit-outcome-unsynced", points.hits("commit-outcome-unsynced"));
     let err = db
         .commit_writes(
             vec![Write::set(doc("/c/a1"), [("v", Value::Int(2))])],

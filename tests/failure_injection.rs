@@ -391,14 +391,18 @@ fn failed_batch_is_all_or_nothing() {
 #[test]
 fn seeded_ycsb_chaos_run_is_lossless_and_reproducible() {
     use firestore_core::{Backoff, RetryPolicy};
-    use simkit::fault::{FaultEvent, FaultInjector, FaultKind, FaultPlan, FaultRule};
+    use simkit::fault::{FaultEvent, FaultKind, FaultPlan, FaultRule};
     use simkit::SimRng;
     use std::collections::HashMap;
     use workloads::ycsb::{YcsbConfig, YcsbGenerator, YcsbOp, YcsbWorkload};
 
     let run = |seed: u64| -> (Vec<FaultEvent>, u64, Vec<(String, i64)>) {
-        let (db, _cache) = setup();
-        let clock = db.spanner().truetime().clock().clone();
+        // Chaos starts after the load phase: tablets flap and locks time out.
+        let plan = FaultPlan::new(seed)
+            .rule(FaultRule::probabilistic(FaultKind::TabletUnavailable, 0.15))
+            .rule(FaultRule::probabilistic(FaultKind::LockTimeout, 0.05));
+        let (w, injector) = common::chaos_world(plan);
+        let (db, clock) = (w.db, w.clock);
         let gen = YcsbGenerator::new(YcsbConfig {
             workload: YcsbWorkload::A,
             records: 40,
@@ -406,13 +410,7 @@ fn seeded_ycsb_chaos_run_is_lossless_and_reproducible() {
         });
         let mut rng = SimRng::new(seed ^ 0xD1CE);
         gen.load(&db, &mut rng).unwrap();
-
-        // Chaos starts after the load phase: tablets flap and locks time out.
-        let plan = FaultPlan::new(seed)
-            .rule(FaultRule::probabilistic(FaultKind::TabletUnavailable, 0.15))
-            .rule(FaultRule::probabilistic(FaultKind::LockTimeout, 0.05));
-        let injector = FaultInjector::new(clock.clone(), plan);
-        db.spanner().set_fault_injector(Some(injector.clone()));
+        injector.arm();
 
         // Each acknowledged update stamps its op index; `expected` tracks the
         // last acknowledged stamp per record.
@@ -454,7 +452,7 @@ fn seeded_ycsb_chaos_run_is_lossless_and_reproducible() {
                 }
             }
         }
-        db.spanner().set_fault_injector(None);
+        injector.disarm();
 
         // Zero lost, zero duplicated: every record carries exactly the stamp
         // of its last acknowledged update — an abandoned attempt never
@@ -491,11 +489,14 @@ fn seeded_ycsb_chaos_run_is_lossless_and_reproducible() {
 #[test]
 fn trigger_redelivery_under_duplication_is_idempotent() {
     use firestore_core::triggers::TriggerExecutor;
-    use simkit::fault::{FaultInjector, FaultKind, FaultPlan, FaultRule};
+    use simkit::fault::{FaultKind, FaultPlan, FaultRule};
     use std::collections::HashMap;
 
-    let (db, _) = setup();
-    let clock = db.spanner().truetime().clock().clone();
+    // While armed, every dequeue redelivers without acking (delivery
+    // observed, ack lost).
+    let plan = FaultPlan::new(5).rule(FaultRule::probabilistic(FaultKind::MessageDuplicate, 1.0));
+    let (w, duplicate) = common::chaos_world(plan);
+    let db = w.db;
     let tid = db.triggers().register("ratings");
     db.commit_writes(
         vec![Write::set(
@@ -506,17 +507,7 @@ fn trigger_redelivery_under_duplication_is_idempotent() {
     )
     .unwrap();
 
-    // For the next 10 simulated seconds every dequeue redelivers without
-    // acking (delivery observed, ack lost).
-    let start = db.spanner().truetime().clock().now();
-    let plan = FaultPlan::new(5).rule(FaultRule::scheduled(
-        FaultKind::MessageDuplicate,
-        start,
-        start + Duration::from_secs(10),
-    ));
-    db.spanner()
-        .set_fault_injector(Some(FaultInjector::new(clock.clone(), plan)));
-
+    duplicate.arm();
     let mut applied: HashMap<String, Value> = HashMap::new();
     let mut deliveries = 0usize;
     for _ in 0..3 {
@@ -532,7 +523,7 @@ fn trigger_redelivery_under_duplication_is_idempotent() {
     assert_eq!(applied["/restaurants/one/ratings/1"], Value::Int(5));
 
     // Outage over: one final delivery acks the message; the queue drains dry.
-    clock.advance(Duration::from_secs(11));
+    duplicate.disarm();
     let n = TriggerExecutor::drain(db.queue(), tid, 10, |_| {}).unwrap();
     assert_eq!(n, 1);
     let n = TriggerExecutor::drain(db.queue(), tid, 10, |_| {}).unwrap();
@@ -633,7 +624,7 @@ fn stalled_consumer_is_shed_with_overload_reset_not_a_pipeline_stall() {
     let db = FirestoreDatabase::create_default(spanner.clone());
     let mut opts = RealtimeOptions::default();
     opts.fanout.stall_deadline = Duration::from_millis(300);
-    let cache = RealtimeCache::new(spanner.truetime().clone(), opts);
+    let cache = RealtimeCache::new(&spanner, opts);
     db.set_observer(cache.observer_for(db.directory()));
 
     let put = |path: &str, v: i64| {
@@ -728,13 +719,25 @@ fn stalled_consumer_is_shed_with_overload_reset_not_a_pipeline_stall() {
 #[test]
 fn recovery_correct_under_truetime_spike_during_replay() {
     use simkit::fault::{FaultInjector, FaultKind, FaultPlan, FaultRule};
-    use simkit::{CrashPoints, SimDisk};
+    use simkit::{CrashPoints, Hooks, SimDisk};
 
-    let (db, _) = setup();
-    let spanner = db.spanner().clone();
-    spanner.attach_durability(SimDisk::new());
+    // A 500 ms uncertainty spike, armed only for the replay.
+    let spike = Duration::from_millis(500);
+    let plan = FaultPlan::new(7)
+        .rule(FaultRule::probabilistic(FaultKind::TtUncertaintySpike, 1.0))
+        .with_tt_spike(spike);
     let cp = CrashPoints::new();
-    spanner.set_crash_points(Some(cp.clone()));
+    let w = common::world_with_hooks(|clock| {
+        let faults = FaultInjector::new(clock.clone(), plan);
+        faults.disarm();
+        Hooks {
+            faults: Some(faults),
+            crash_points: Some(cp.clone()),
+            ..Hooks::default()
+        }
+    });
+    let (db, spanner) = (w.db, w.spanner);
+    spanner.attach_durability(SimDisk::new());
 
     db.commit_writes(
         vec![Write::set(doc("/c/a"), [("v", Value::Int(1))])],
@@ -757,16 +760,13 @@ fn recovery_correct_under_truetime_spike_during_replay() {
         .unwrap_err();
     assert!(matches!(err, FirestoreError::Unknown(_)));
 
-    // A 500 ms uncertainty spike hits exactly during replay.
-    let clock = spanner.truetime().clock().clone();
+    // The spike hits exactly during replay.
+    let clock = w.clock;
     let before = clock.now();
-    let spike = Duration::from_millis(500);
-    let plan = FaultPlan::new(7)
-        .rule(FaultRule::probabilistic(FaultKind::TtUncertaintySpike, 1.0))
-        .with_tt_spike(spike);
-    spanner.set_fault_injector(Some(FaultInjector::new(clock.clone(), plan)));
+    let faults = spanner.hooks().faults.as_ref().unwrap();
+    faults.arm();
     let report = spanner.recover();
-    spanner.set_fault_injector(None);
+    faults.disarm();
     assert!(report.replayed_txns >= 1);
     assert!(
         clock.now() >= before + spike,
@@ -805,13 +805,13 @@ fn recovery_correct_under_truetime_spike_during_replay() {
 #[test]
 fn message_drops_during_replay_do_not_lose_trigger_messages() {
     use firestore_core::triggers::TriggerExecutor;
-    use simkit::fault::{FaultInjector, FaultKind, FaultPlan, FaultRule};
+    use simkit::fault::{FaultKind, FaultPlan, FaultRule};
     use simkit::SimDisk;
 
-    let (db, _) = setup();
-    let spanner = db.spanner().clone();
+    let plan = FaultPlan::new(9).rule(FaultRule::probabilistic(FaultKind::MessageDrop, 1.0));
+    let (w, drops) = common::chaos_world(plan);
+    let (db, spanner) = (w.db, w.spanner);
     spanner.attach_durability(SimDisk::new());
-    let clock = spanner.truetime().clock().clone();
     let tid = db.triggers().register("ratings");
 
     db.commit_writes(
@@ -823,15 +823,9 @@ fn message_drops_during_replay_do_not_lose_trigger_messages() {
     )
     .unwrap();
 
-    // Crash before the trigger drains; every dequeue attempt in the next
-    // 10 simulated seconds is dropped, covering the replay window.
-    let start = clock.now();
-    let plan = FaultPlan::new(9).rule(FaultRule::scheduled(
-        FaultKind::MessageDrop,
-        start,
-        start + Duration::from_secs(10),
-    ));
-    spanner.set_fault_injector(Some(FaultInjector::new(clock.clone(), plan)));
+    // Crash before the trigger drains; every dequeue attempt is dropped
+    // from here until the outage ends, covering the replay window.
+    drops.arm();
     spanner.crash();
     let report = spanner.recover();
     assert!(report.replayed_txns >= 1, "the enqueue commit must replay");
@@ -843,7 +837,7 @@ fn message_drops_during_replay_do_not_lose_trigger_messages() {
     );
 
     // Outage over: the message survived crash + drops, delivering once.
-    clock.advance(Duration::from_secs(11));
+    drops.disarm();
     let mut stars = Vec::new();
     let n = TriggerExecutor::drain(db.queue(), tid, 10, |ev| {
         if let Some(new) = &ev.new {

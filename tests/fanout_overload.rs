@@ -169,7 +169,7 @@ fn overload_reset_of_one_multiplexed_listener_leaves_the_sibling_alone() {
     let db = FirestoreDatabase::create_default(spanner.clone());
     let mut opts = RealtimeOptions::default();
     opts.fanout.stall_deadline = Duration::from_millis(300);
-    let cache = RealtimeCache::new(spanner.truetime().clone(), opts);
+    let cache = RealtimeCache::new(&spanner, opts);
     db.set_observer(cache.observer_for(db.directory()));
 
     let put = |path: &str, v: i64| {

@@ -21,7 +21,32 @@ use firestore_core::{
 };
 use server::{FirestoreService, ServiceOptions};
 use simkit::fault::{FaultInjector, FaultKind, FaultPlan, FaultRule};
-use simkit::{Duration, SimClock, SimDisk, SimRng};
+use simkit::{Duration, Hooks, SimClock, SimDisk, SimRng};
+use std::sync::Arc;
+
+/// A durable service (trace seed `obs_seed`) whose hooks carry an injector
+/// for `plan`, returned disarmed so setup runs fault-free.
+fn chaos_service(
+    clock: &SimClock,
+    obs_seed: u64,
+    plan: FaultPlan,
+) -> (FirestoreService, Arc<FaultInjector>) {
+    let injector = FaultInjector::new(clock.clone(), plan);
+    injector.disarm();
+    let svc = FirestoreService::new(
+        clock.clone(),
+        ServiceOptions {
+            obs_seed,
+            hooks: Hooks {
+                faults: Some(injector.clone()),
+                ..Hooks::default()
+            },
+            ..ServiceOptions::default()
+        },
+    );
+    svc.spanner().attach_durability(SimDisk::new());
+    (svc, injector)
+}
 
 // --- seeded chaos workload ---------------------------------------------------
 
@@ -31,14 +56,11 @@ use simkit::{Duration, SimClock, SimDisk, SimRng};
 fn seeded_chaos_run(seed: u64) -> (String, String, String) {
     let clock = SimClock::new();
     clock.advance(Duration::from_secs(1));
-    let svc = FirestoreService::new(
-        clock.clone(),
-        ServiceOptions {
-            obs_seed: seed,
-            ..ServiceOptions::default()
-        },
-    );
-    svc.spanner().attach_durability(SimDisk::new());
+    // Chaos: locks time out and tablets flap, YCSB-style (§PR1 substrate).
+    let plan = FaultPlan::new(seed)
+        .rule(FaultRule::probabilistic(FaultKind::LockTimeout, 0.08))
+        .rule(FaultRule::probabilistic(FaultKind::TabletUnavailable, 0.08));
+    let (svc, chaos) = chaos_service(&clock, seed, plan);
     let _db = svc.create_database("trace");
     let mut rng = SimRng::new(seed ^ 0x0B5);
 
@@ -46,13 +68,7 @@ fn seeded_chaos_run(seed: u64) -> (String, String, String) {
     let conn = svc.connect();
     svc.listen("trace", &conn, Query::parse("/c").unwrap(), &Caller::Service)
         .expect("listen");
-
-    // Chaos: locks time out and tablets flap, YCSB-style (§PR1 substrate).
-    let plan = FaultPlan::new(seed)
-        .rule(FaultRule::probabilistic(FaultKind::LockTimeout, 0.08))
-        .rule(FaultRule::probabilistic(FaultKind::TabletUnavailable, 0.08));
-    svc.spanner()
-        .set_fault_injector(Some(FaultInjector::new(clock.clone(), plan)));
+    chaos.arm();
 
     for i in 0..60i64 {
         let key = rng.gen_range(20);
@@ -91,7 +107,7 @@ fn seeded_chaos_run(seed: u64) -> (String, String, String) {
         }
         svc.realtime().tick();
     }
-    svc.spanner().set_fault_injector(None);
+    chaos.disarm();
 
     let trace = svc.obs().tracer.render();
     let metrics = svc.obs().metrics.snapshot().to_text();
@@ -170,25 +186,16 @@ fn same_seed_chaos_runs_fold_identical_profiles() {
 fn profiler_phase_self_time_reconciles_with_breakdowns() {
     let clock = SimClock::new();
     clock.advance(Duration::from_secs(1));
-    let svc = FirestoreService::new(
-        clock.clone(),
-        ServiceOptions {
-            obs_seed: 0x9EC0,
-            ..ServiceOptions::default()
-        },
-    );
-    svc.spanner().attach_durability(SimDisk::new());
-    let _db = svc.create_database("rec");
-    let mut rng = SimRng::new(0x9EC0);
-
     // TabletUnavailable only: it injects *before* lock acquisition, so every
     // lock/commit-wait/redo span in the trace belongs to a successful commit
     // and the breakdown sums match the profiler exactly. (LockTimeout chaos
     // would leave partial-wait acquire spans with no matching breakdown.)
-    let plan = simkit::fault::FaultPlan::new(0x9EC0)
+    let plan = FaultPlan::new(0x9EC0)
         .rule(FaultRule::probabilistic(FaultKind::TabletUnavailable, 0.10));
-    svc.spanner()
-        .set_fault_injector(Some(FaultInjector::new(clock.clone(), plan)));
+    let (svc, chaos) = chaos_service(&clock, 0x9EC0, plan);
+    let _db = svc.create_database("rec");
+    let mut rng = SimRng::new(0x9EC0);
+    chaos.arm();
 
     let mut lock_wait_total = Duration::ZERO;
     let mut commit_wait_total = Duration::ZERO;
@@ -217,7 +224,7 @@ fn profiler_phase_self_time_reconciles_with_breakdowns() {
             }
         }
     }
-    svc.spanner().set_fault_injector(None);
+    chaos.disarm();
 
     let profile = simkit::FoldedProfile::fold(&svc.obs().tracer.finished_since(0));
     let phases = profile.phase_self_times();
@@ -273,8 +280,15 @@ fn profiler_phase_self_time_reconciles_with_breakdowns() {
 fn mixed_workload_lights_up_every_metric_family() {
     let clock = SimClock::new();
     clock.advance(Duration::from_secs(1));
-    let svc = FirestoreService::new(clock.clone(), ServiceOptions::default());
-    svc.spanner().attach_durability(SimDisk::new());
+    // The client flush below runs under a lock-timeout window opening at a
+    // fixed instant, long after setup.
+    let window = simkit::Timestamp::from_secs(100);
+    let plan = FaultPlan::new(7).rule(FaultRule::scheduled(
+        FaultKind::LockTimeout,
+        window,
+        window + Duration::from_millis(20),
+    ));
+    let (svc, chaos) = chaos_service(&clock, ServiceOptions::default().obs_seed, plan);
     let db = svc.create_database("cov");
     let mut rng = SimRng::new(0xC0FE);
 
@@ -322,17 +336,11 @@ fn mixed_workload_lights_up_every_metric_family() {
             auth: Some(rules::AuthContext::uid("u")),
         },
     );
-    let now = clock.now();
-    let plan = FaultPlan::new(7).rule(FaultRule::scheduled(
-        FaultKind::LockTimeout,
-        now,
-        now + Duration::from_millis(20),
-    ));
-    svc.spanner()
-        .set_fault_injector(Some(FaultInjector::new(clock.clone(), plan)));
+    assert!(clock.now() < window, "setup ran past the fault window");
+    clock.advance_to(window);
+    chaos.arm();
     client.set("/c/flushed", [("v", Value::Int(1))]).expect("set");
     client.flush().expect("flush");
-    svc.spanner().set_fault_injector(None);
     client.flush().expect("flush after chaos");
     assert_eq!(client.pending_writes(), 0, "flush must eventually land");
 

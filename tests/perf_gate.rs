@@ -1,7 +1,7 @@
 //! Mutation-proofs the perf-regression gate: a seeded slowdown in a benched
 //! hot path must fail `bench_gate`'s comparison, and reverting it must pass.
 //!
-//! The slowdown knob is `SpannerDatabase::set_redo_fsync_padding` — a
+//! The slowdown is `Mutation::FsyncPadding` in the service's `Hooks` — a
 //! test-only cost bump charged to the SimClock inside every redo-log fsync,
 //! exactly where a real durability regression would land. Because the
 //! benched latencies are simulated time, the padded run's numbers shift
@@ -14,18 +14,24 @@ use bench::report::BenchReport;
 use firestore_core::database::doc;
 use firestore_core::{Caller, Value, Write};
 use server::{FirestoreService, ServiceOptions};
-use simkit::{Duration, SimClock, SimDisk, SimRng};
+use simkit::{Duration, Hooks, Mutation, SimClock, SimDisk, SimRng};
 
-/// Run a miniature commit-latency bench with the given fsync padding and
+/// Run a miniature commit-latency bench with the given seeded bug and
 /// render its report JSON. Mirrors the real bench bins: sim-time latency
 /// percentiles plus the engine's charged CPU, in a `results` row the gate
 /// classifies as tight sim metrics (`*_ns`).
-fn run_commit_bench(fsync_padding: Duration) -> String {
+fn run_commit_bench(mutation: Option<Mutation>) -> String {
     let clock = SimClock::new();
     clock.advance(Duration::from_secs(1));
-    let svc = FirestoreService::new(clock.clone(), ServiceOptions::default());
+    let options = ServiceOptions {
+        hooks: Hooks {
+            mutation,
+            ..Hooks::default()
+        },
+        ..ServiceOptions::default()
+    };
+    let svc = FirestoreService::new(clock.clone(), options);
     svc.spanner().attach_durability(SimDisk::new());
-    svc.spanner().set_redo_fsync_padding(fsync_padding);
     let _db = svc.create_database("gate");
     let mut rng = SimRng::new(0x6A7E);
 
@@ -54,13 +60,14 @@ fn run_commit_bench(fsync_padding: Duration) -> String {
 
 #[test]
 fn gate_catches_seeded_fsync_slowdown_and_passes_when_reverted() {
-    let baseline = parse_json(&run_commit_bench(Duration::ZERO)).expect("baseline JSON");
+    let baseline = parse_json(&run_commit_bench(None)).expect("baseline JSON");
 
     // Seeded mutation: every fsync costs an extra 5ms. Time charged after
     // the commit timestamp is assigned is absorbed by TrueTime commit wait
     // until it exceeds the uncertainty ε, so the bump must be large enough
     // to move end-to-end latency too — not just the charged-CPU ledger.
-    let padded = parse_json(&run_commit_bench(Duration::from_millis(5))).expect("padded JSON");
+    let padding = Mutation::FsyncPadding(Duration::from_millis(5));
+    let padded = parse_json(&run_commit_bench(Some(padding))).expect("padded JSON");
     let verdict = compare("gate_selftest", &baseline, &padded);
     assert!(
         !verdict.ok(),
@@ -83,7 +90,7 @@ fn gate_catches_seeded_fsync_slowdown_and_passes_when_reverted() {
 
     // Reverted: a fresh unpadded run is byte-for-byte reproducible in sim
     // time, so the gate passes with zero regressions.
-    let reverted = parse_json(&run_commit_bench(Duration::ZERO)).expect("reverted JSON");
+    let reverted = parse_json(&run_commit_bench(None)).expect("reverted JSON");
     let verdict = compare("gate_selftest", &baseline, &reverted);
     assert!(
         verdict.ok(),

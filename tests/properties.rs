@@ -353,10 +353,7 @@ proptest! {
         clock.advance(Duration::from_secs(1));
         let spanner = SpannerDatabase::new(clock);
         let db = FirestoreDatabase::create_default(spanner.clone());
-        let cache = realtime::RealtimeCache::new(
-            spanner.truetime().clone(),
-            realtime::RealtimeOptions::default(),
-        );
+        let cache = realtime::RealtimeCache::new(&spanner, realtime::RealtimeOptions::default());
         db.set_observer(cache.observer_for(db.directory()));
         let conn = cache.connect();
         let q = Query::parse("/c").unwrap();
@@ -407,10 +404,7 @@ proptest! {
                   }
                 }
             "#).unwrap();
-            let cache = realtime::RealtimeCache::new(
-                spanner.truetime().clone(),
-                realtime::RealtimeOptions::default(),
-            );
+            let cache = realtime::RealtimeCache::new(&spanner, realtime::RealtimeOptions::default());
             db.set_observer(cache.observer_for(db.directory()));
             let c = client::FirestoreClient::connect(
                 db.clone(),
